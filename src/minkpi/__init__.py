@@ -38,7 +38,6 @@ from .gauge import (
     gauge,
     symmetrize_hull,
     symmetrize_intersection,
-    validate_ball,
 )
 from .perimeter import (
     HexBound,

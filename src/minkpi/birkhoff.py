@@ -4,8 +4,10 @@ y is Birkhoff orthogonal to x when the whole line x + t*y stays outside the
 open ball of radius gauge(x), i.e. the line supports that ball at x. For a
 polygonal gauge the map t -> gauge(x + t*y) is piecewise linear and convex
 with breakpoints where x + t*y crosses a vertex direction, so the minimum is
-found exactly. A norm is Radon when the relation is symmetric; the test
-sweeps boundary points and checks every supporting direction both ways.
+found exactly. A norm is Radon when the relation is symmetric. For a
+polygon the relation is a staircase of edge directions against vertex
+directions, so testing the reverse relation on the 2n pairs (edge endpoint,
+edge direction) decides symmetry exactly, with no sampling.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .errors import InvalidParameter, NotSymmetricBall, ZeroVector
+from .errors import NotSymmetricBall, ZeroVector
 from .gauge import Ball, _gauge_xy, gauge, is_centrally_symmetric
 from .geom2d import Vec2
 
@@ -58,59 +60,31 @@ def birkhoff_orthogonal(ball: Ball, x: Vec2, y: Vec2, tol: float = 1e-9) -> bool
     return _line_min_gauge(ball, x, y) >= gauge(ball, x) - tol
 
 
-def _boundary_samples(ball: Ball, directions: int) -> list[tuple[Vec2, bool, int]]:
-    # (point relative to center, is_vertex, edge index); vertices always included
-    rel = [Vec2(x, y) for x, y in ball._rel]
-    n = len(rel)
-    per_edge = max(1, -(-directions // n))  # ceil
-    out: list[tuple[Vec2, bool, int]] = []
-    for i in range(n):
-        a, b = rel[i], rel[(i + 1) % n]
-        out.append((a, True, i))
-        for j in range(1, per_edge):
-            f = j / per_edge
-            out.append((a + (b - a) * f, False, i))
-    return out
+def radon_witness(ball: Ball, tol: float = 1e-9) -> Optional[OrthoPair]:
+    """The worst pair violating symmetry of the orthogonality relation, if any.
 
-
-def _supporting_directions(ball: Ball, sample: tuple[Vec2, bool, int]) -> list[Vec2]:
-    # edge-interior point: the single edge direction; vertex: the closed cone
-    # between the adjacent edge directions, represented by its two extreme
-    # rays and the angular bisector
-    rel = [Vec2(x, y) for x, y in ball._rel]
-    n = len(rel)
-    p, is_vertex, i = sample
-    e_here = (rel[(i + 1) % n] - rel[i]).normalized()
-    if not is_vertex:
-        return [e_here]
-    e_prev = (rel[i] - rel[i - 1]).normalized()
-    return [e_prev, e_here, (e_prev + e_here).normalized()]
-
-
-def radon_witness(
-    ball: Ball, directions: int = 0, tol: float = 1e-9
-) -> Optional[OrthoPair]:
-    """A boundary pair violating symmetry of the orthogonality relation, if any.
-
-    Sweeps boundary points (default 8 per edge), enumerates the supporting
-    directions at each, and returns the first pair where y is orthogonal to x
-    but x is not orthogonal to y. ``None`` means no violation was found.
+    The direction y of an edge is orthogonal to both endpoints x of that
+    edge, because the edge line x + t*y supports the ball at x. The scan
+    tests the reverse relation on all 2n such pairs and returns the one whose
+    line y + t*x dips furthest below gauge(y), if that exceeds ``tol``. These
+    pairs are the corners of the orthogonality relation's staircase, so they
+    decide symmetry exactly. ``None`` means the norm is Radon.
     """
     _require_norm(ball, tol)
-    n = len(ball._rel)
-    if directions == 0:
-        directions = 8 * n
-    if directions < 8:
-        raise InvalidParameter("need at least 8 sweep directions")
-    for sample in _boundary_samples(ball, directions):
-        x = sample[0]
-        for y in _supporting_directions(ball, sample):
-            backward = _line_min_gauge(ball, y, x) >= gauge(ball, y) - tol
-            if not backward:
-                return OrthoPair(x=x, y=y, forward=True, backward=False)
-    return None
+    rel = [Vec2(x, y) for x, y in ball._rel]
+    worst, witness = tol, None
+    for i, a in enumerate(rel):
+        b = rel[(i + 1) % len(rel)]
+        y = (b - a).normalized()
+        floor = gauge(ball, y)
+        for x in (a, b):
+            violation = floor - _line_min_gauge(ball, y, x)
+            if violation > worst:
+                worst, witness = violation, OrthoPair(x=x, y=y, forward=True, backward=False)
+    return witness
 
 
-def is_radon(ball: Ball, directions: int = 0, tol: float = 1e-9) -> bool:
-    """True when Birkhoff orthogonality is symmetric on the sampled boundary."""
-    return radon_witness(ball, directions, tol) is None
+def is_radon(ball: Ball, tol: float = 1e-9) -> bool:
+    """True when Birkhoff orthogonality is symmetric, decided by the exact
+    vertex-edge pair scan of ``radon_witness``."""
+    return radon_witness(ball, tol) is None

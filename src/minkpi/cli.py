@@ -1,6 +1,8 @@
 """Command line front end: tables, sweeps, gauge queries, and the verify ledger.
 
-Exit codes: 0 on success, 1 when verification fails, 2 on usage errors.
+Exit codes: 0 on success, 1 when verification fails, 2 on usage errors,
+including unreadable or malformed fixtures and a non-integer MINKPI_SEED;
+those print one ``error: ...`` line on stderr.
 CSV output carries a header row and 15 significant digits. The seed for
 randomized suites defaults to 0, can be set by the MINKPI_SEED environment
 variable, and is overridden by an explicit --seed flag.
@@ -88,17 +90,42 @@ def _write(config: RunConfig, text: str) -> None:
         sys.stdout.write(text)
 
 
+def _load_json(path: str, build, expected: str):
+    # every I/O or format fault in an input file becomes a one-line usage error
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            data = json.load(fh)
+    except OSError as exc:
+        raise MinkpiError(f"cannot read {path}: {exc.strerror}") from exc
+    except ValueError as exc:  # malformed JSON or text that is not UTF-8
+        raise MinkpiError(f"{path} is not valid JSON: {exc}") from exc
+    try:
+        return build(data)
+    except (LookupError, TypeError, ValueError) as exc:
+        raise MinkpiError(f"{path}: expected {expected}") from exc
+
+
 def _load_ball(path: str) -> Ball:
-    with open(path, "r", encoding="utf-8") as fh:
-        return Ball.from_dict(json.load(fh))
+    return _load_json(path, Ball.from_dict, 'a ball fixture {"vertices": [[x, y], ...], "center": [x, y]}')
 
 
 def _load_polygon(path: str) -> ConvexPolygon:
-    with open(path, "r", encoding="utf-8") as fh:
-        return ConvexPolygon.from_pairs(json.load(fh))
+    return _load_json(path, ConvexPolygon.from_pairs, "a JSON array of [x, y] pairs")
+
+
+def _resolve_seed(flag: Optional[int]) -> int:
+    if flag is not None:
+        return flag
+    raw = os.environ.get("MINKPI_SEED", "0")
+    try:
+        return int(raw)
+    except ValueError:
+        raise MinkpiError(f"MINKPI_SEED must be an integer, got {raw!r}") from None
 
 
 def _cmd_pi_regular(config: RunConfig, args) -> int:
+    if args.n_min > args.n_max:
+        raise MinkpiError(f"--n-min {args.n_min} exceeds --n-max {args.n_max}")
     form = FORMS[args.form]
     rows = [
         [n, float(form(n)), classify_family(n).kind.value]
@@ -144,7 +171,8 @@ def _cmd_pi_offset(config: RunConfig, args) -> int:
     else:
         spec = OffsetShapeSpec(shape, axis_config, args.size, args.offset)
     res = closed_form_pi(spec)
-    geom = measure_perimeters(build_offset_ball(spec), build_offset_ball(spec).shape).ccw / 2.0
+    ball = build_offset_ball(spec)
+    geom = measure_perimeters(ball, ball.shape).ccw / 2.0
     if config.output_format == "json":
         payload = {
             "shape": shape.value,
@@ -194,7 +222,7 @@ def _cmd_radon(config: RunConfig, args) -> int:
     else:
         raise MinkpiError("either --ball or --n is required")
     tol = config.tol if config.tol is not None else 1e-9
-    witness = radon_witness(ball, directions=args.directions, tol=tol)
+    witness = radon_witness(ball, tol=tol)
     payload = {
         "radon": witness is None,
         "witness": None
@@ -253,7 +281,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("radon", help="test whether a symmetric ball induces a Radon norm")
     p.add_argument("--ball", default=None)
     p.add_argument("--n", type=int, default=None, help="use a regular n-gon instead of a fixture")
-    p.add_argument("--directions", type=int, default=0, help="boundary sweep size (default 8 per edge)")
     p.add_argument("--tol", type=float, default=None)
     _io_flags(p, default_format="json")
 
@@ -286,18 +313,14 @@ COMMANDS = {
 def main(argv: Optional[list[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.seed is not None:
-        seed = args.seed
-    else:
-        seed = int(os.environ.get("MINKPI_SEED", "0"))
-    config = RunConfig(
-        command=args.command,
-        output_format=getattr(args, "format", "csv"),
-        output_path=getattr(args, "output", None),
-        seed=seed,
-        tol=getattr(args, "tol", None),
-    )
     try:
+        config = RunConfig(
+            command=args.command,
+            output_format=getattr(args, "format", "csv"),
+            output_path=getattr(args, "output", None),
+            seed=_resolve_seed(args.seed),
+            tol=getattr(args, "tol", None),
+        )
         return COMMANDS[args.command](config, args)
     except MinkpiError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -10,7 +10,6 @@ positively homogeneous and subadditive but not symmetric.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 from .errors import CenterNotInterior
 from .geom2d import (
@@ -63,17 +62,6 @@ class Ball:
         shape = ConvexPolygon.from_pairs(data["vertices"])
         cx, cy = data["center"]
         return Ball(shape, Vec2(float(cx), float(cy)))
-
-
-def validate_ball(shape: ConvexPolygon | Sequence[Sequence[float]], center: Vec2) -> Ball:
-    """Build a ``Ball`` after checking convexity and strict interiority.
-
-    Raises ``NotConvex`` for a bad vertex loop and ``CenterNotInterior`` for a
-    center on or outside the boundary.
-    """
-    if not isinstance(shape, ConvexPolygon):
-        shape = ConvexPolygon.from_pairs(shape)
-    return Ball(shape, center)
 
 
 def _gauge_xy(ball: Ball, vx: float, vy: float) -> float:

@@ -1,4 +1,4 @@
-"""Closed-form half-perimeters for triangles, squares, and hexagons with offset centers.
+r"""Closed-form half-perimeters for triangles, squares, and hexagons with offset centers.
 
 Each shape is self-measured with the gauge centered at a point displaced
 along a mirror axis. Conventions, fixed here once and used by both the closed

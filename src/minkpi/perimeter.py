@@ -411,8 +411,12 @@ def _unit_chain_bound(ball: Ball) -> Optional[HexBound]:
         for j in range(8):
             frac = 0.15 + 0.7 * j / 7.0
             cand = chain(phi1, frac)
-            if cand is not None and (best is None or cand.half_perimeter > best.half_perimeter):
+            # a chain whose vertices fall collinear collapses to fewer unit
+            # sides and certifies nothing, however long it is
+            if cand is None or cand.unit_side_count < 4:
+                continue
+            if best is None or cand.half_perimeter > best.half_perimeter:
                 best = cand
-            if best is not None and best.half_perimeter >= 3.0 + 1e-6 and best.unit_side_count >= 4:
+            if best.half_perimeter >= 3.0 + 1e-6:
                 return best
     return best

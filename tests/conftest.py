@@ -2,7 +2,9 @@
 
 These deliberately avoid the library's own algorithms: the gauge oracle works
 by bisection on point containment, and the hull oracle by exhaustive support
-tests, so they can arbitrate the fast implementations.
+tests, so they can arbitrate the fast implementations. The Radon oracle keeps
+the library's exact orthogonality check but replaces the pair scan's finite
+candidate set with a dense boundary sweep.
 """
 
 from __future__ import annotations
@@ -11,6 +13,7 @@ import math
 
 import pytest
 
+from minkpi.birkhoff import birkhoff_orthogonal
 from minkpi.geom2d import ConvexPolygon, Vec2
 
 
@@ -29,6 +32,28 @@ def gauge_by_bisection(ball, v: Vec2, iters: int = 200) -> float:
         else:
             hi = mid
     return 1.0 / (0.5 * (lo + hi))
+
+
+def radon_by_sweep(ball, per_edge: int = 8):
+    """First (x, y) with y supporting the ball at x but x not orthogonal to y.
+
+    Samples ``per_edge`` points on each edge, vertices included, and tries the
+    edge direction at edge points and the two extreme rays and the bisector of
+    the supporting cone at vertices. ``None`` means no violation was found.
+    """
+    rel = [v - ball.center for v in ball.shape.vertices]
+    n = len(rel)
+    for i in range(n):
+        a, b = rel[i], rel[(i + 1) % n]
+        e_here = (b - a).normalized()
+        e_prev = (a - rel[i - 1]).normalized()
+        probes = [(a, [e_prev, e_here, (e_prev + e_here).normalized()])]
+        probes += [(a + (b - a) * (j / per_edge), [e_here]) for j in range(1, per_edge)]
+        for x, ys in probes:
+            for y in ys:
+                if not birkhoff_orthogonal(ball, y, x):
+                    return x, y
+    return None
 
 
 def brute_force_hull(points: list[Vec2]) -> list[Vec2]:

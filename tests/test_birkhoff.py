@@ -5,10 +5,11 @@ import random
 
 import pytest
 
+from conftest import radon_by_sweep
 from minkpi.birkhoff import birkhoff_orthogonal, is_radon, radon_witness
-from minkpi.errors import InvalidParameter, NotSymmetricBall, ZeroVector
+from minkpi.errors import NotSymmetricBall, ZeroVector
 from minkpi.gauge import Ball, gauge
-from minkpi.geom2d import ConvexPolygon, Vec2, regular_polygon
+from minkpi.geom2d import ConvexPolygon, Vec2, convex_hull, regular_polygon
 
 SQUARE = Ball(ConvexPolygon([Vec2(-1, -1), Vec2(1, -1), Vec2(1, 1), Vec2(-1, 1)]), Vec2(0, 0))
 
@@ -45,8 +46,6 @@ def test_rejects_asymmetric_ball_and_zero_vectors(equilateral):
         is_radon(tri)
     with pytest.raises(ZeroVector):
         birkhoff_orthogonal(SQUARE, Vec2(0, 0), Vec2(0, 1))
-    with pytest.raises(InvalidParameter):
-        is_radon(SQUARE, directions=4)
 
 
 def test_radon_small_cases():
@@ -61,6 +60,42 @@ def test_square_witness_certifies():
     assert witness.forward and not witness.backward
     assert birkhoff_orthogonal(SQUARE, witness.x, witness.y)
     assert not birkhoff_orthogonal(SQUARE, witness.y, witness.x)
+
+
+def _affine_image(rng, n):
+    # R(t1) diag(s1, s2) R(t2) with positive determinant keeps the loop ccw;
+    # linear maps preserve Birkhoff orthogonality, so the answer stays n % 4 == 2
+    t1, t2 = rng.uniform(0.0, math.pi), rng.uniform(0.0, math.pi)
+    s1, s2 = 10.0 ** rng.uniform(-0.4, 0.4), 10.0 ** rng.uniform(-0.4, 0.4)
+    c1, d1, c2, d2 = math.cos(t1), math.sin(t1), math.cos(t2), math.sin(t2)
+    m = ((s1 * c1 * c2 - s2 * d1 * d2, -s1 * c1 * d2 - s2 * d1 * c2),
+         (s1 * d1 * c2 + s2 * c1 * d2, -s1 * d1 * d2 + s2 * c1 * c2))
+    pts = regular_polygon(n, 1.0, rng.uniform(0.0, 2.0 * math.pi)).vertices
+    return ConvexPolygon([Vec2(m[0][0] * p.x + m[0][1] * p.y, m[1][0] * p.x + m[1][1] * p.y) for p in pts])
+
+
+def _random_symmetric_hull(rng):
+    # at most 15 points and their mirror images: n <= 30
+    pts = [Vec2(rng.uniform(-2.0, 2.0), rng.uniform(-2.0, 2.0)) for _ in range(rng.randint(2, 15))]
+    return convex_hull(pts + [-p for p in pts])
+
+
+def _cross_check_cases():
+    rng = random.Random(2024)
+    cases = [pytest.param(regular_polygon(n, 1.0, 0.0), id=f"regular{n}") for n in range(4, 31, 2)]
+    cases += [pytest.param(_affine_image(rng, n), id=f"affine{n}") for n in range(4, 31, 2)]
+    cases += [pytest.param(_random_symmetric_hull(rng), id=f"hull{k}") for k in range(20)]
+    return cases
+
+
+@pytest.mark.parametrize("shape", _cross_check_cases())
+def test_pair_scan_matches_sweep_oracle(shape):
+    ball = Ball(shape, Vec2(0, 0))
+    witness = radon_witness(ball)
+    assert is_radon(ball) == (witness is None) == (radon_by_sweep(ball) is None)
+    if witness is not None:
+        assert birkhoff_orthogonal(ball, witness.x, witness.y)
+        assert not birkhoff_orthogonal(ball, witness.y, witness.x)
 
 
 @pytest.mark.parametrize("n", range(4, 31))

@@ -152,6 +152,50 @@ def test_usage_errors(capsys):
     assert code == 2
 
 
+def run_cli_error(capsys, argv):
+    code = cli.main(argv)
+    captured = capsys.readouterr()
+    lines = captured.err.strip().splitlines()
+    assert code == 2 and captured.out == ""
+    assert len(lines) == 1 and lines[0].startswith("error: "), captured.err
+    return lines[0]
+
+
+def test_missing_fixture_is_a_usage_error(capsys, tmp_path):
+    run_cli_error(capsys, ["gauge", "--ball", str(tmp_path / "absent.json"), "--vector", "1", "0"])
+
+
+def test_malformed_json_is_a_usage_error(capsys, tmp_path, triangle_fixture):
+    bad = tmp_path / "bad.json"
+    bad.write_text('{"vertices": [[0, 1], ')
+    run_cli_error(capsys, ["gauge", "--ball", str(bad), "--vector", "1", "0"])
+    run_cli_error(capsys, ["perimeter", "--ball", triangle_fixture, "--poly", str(bad)])
+
+
+def test_fixture_without_center_is_a_usage_error(capsys, tmp_path):
+    path = tmp_path / "nocenter.json"
+    path.write_text(json.dumps({"vertices": [[0.0, 1.0], [-S3 / 2, -0.5], [S3 / 2, -0.5]]}))
+    line = run_cli_error(capsys, ["gauge", "--ball", str(path), "--vector", "1", "0"])
+    assert '"center"' in line
+
+
+def test_non_integer_seed_is_a_usage_error(monkeypatch, capsys):
+    monkeypatch.setenv("MINKPI_SEED", "abc")
+    line = run_cli_error(capsys, ["verify"])
+    assert "MINKPI_SEED" in line
+
+
+def test_empty_pi_regular_range_is_a_usage_error(capsys):
+    run_cli_error(capsys, ["pi-regular", "--n-min", "10", "--n-max", "5"])
+
+
+def test_radon_has_no_directions_flag(capsys):
+    with pytest.raises(SystemExit) as err:
+        cli.main(["radon", "--n", "10", "--directions", "8"])
+    assert err.value.code == 2
+    capsys.readouterr()
+
+
 def test_seed_resolution(monkeypatch, capsys):
     seen = {}
 

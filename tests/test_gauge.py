@@ -14,7 +14,6 @@ from minkpi.gauge import (
     is_centrally_symmetric,
     symmetrize_hull,
     symmetrize_intersection,
-    validate_ball,
 )
 from minkpi.geom2d import ConvexPolygon, Vec2, regular_polygon, vertex_sets_equal
 from minkpi.sampling import random_ball
@@ -50,14 +49,14 @@ def test_offset_triangle_directed_side_gauges():
     assert gauge(ball, Vec2(1, 0)) == pytest.approx(2.5, abs=1e-12)
 
 
-def test_validate_ball_center_checks():
-    assert validate_ball(SQUARE, Vec2(0, 0)).center == Vec2(0, 0)
+def test_ball_center_and_convexity_checks():
+    assert Ball(SQUARE, Vec2(0, 0)).center == Vec2(0, 0)
     with pytest.raises(CenterNotInterior):
-        validate_ball(SQUARE, Vec2(1, 0))  # on the boundary
+        Ball(SQUARE, Vec2(1, 0))  # on the boundary
     with pytest.raises(CenterNotInterior):
-        validate_ball(SQUARE, Vec2(2, 0))
+        Ball(SQUARE, Vec2(2, 0))
     with pytest.raises(NotConvex):
-        validate_ball([[0, 0], [0, 1], [1, 0]], Vec2(0.2, 0.2))
+        Ball(ConvexPolygon.from_pairs([[0, 0], [0, 1], [1, 0]]), Vec2(0.2, 0.2))
 
 
 def test_ball_fixture_roundtrip():

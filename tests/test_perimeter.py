@@ -216,6 +216,44 @@ def test_hexagon_bound_random_brackets():
             assert gauge(ball, v - ball.center) == pytest.approx(1.0, abs=1e-9)
 
 
+# 11-vertex balls with a sharp apex whose chord hexagon is pinned below 3, so
+# the unit-chain search runs; one of its chains has collinear vertices and
+# collapses to a 5-gon with two unit sides but a larger half-perimeter
+SHARP_APEX_BALLS = [
+    (
+        [
+            (-0.18215710359023157, -1.038444564678277), (-0.178356584411134, -1.049573260684566),
+            (-0.07372656021187031, -1.2287993260320673), (0.030903463987393368, -1.049573260684566),
+            (0.034703983166490954, -1.038444564678277), (0.02548941575612103, -1.0239853382632478),
+            (-0.024534228706840813, -1.01324255479433), (-0.04428989841141325, -1.0112157399935147),
+            (-0.10316322201232736, -1.0112157399935147), (-0.1229188917168998, -1.01324255479433),
+            (-0.17294253617986166, -1.0239853382632478),
+        ],
+        (-0.07372656021187031, -1.097491040708053),
+    ),
+    (
+        [
+            (-110.14951170376037, 46.6358793260723), (-109.60791487692063, 43.86642968409219),
+            (-82.65658779515138, -4.043933854317736), (-55.70526071338213, 43.86642968409219),
+            (-55.16366388654239, 46.6358793260723), (-68.00267155776672, 52.597072761900364),
+            (-80.31361800706917, 54.769986078398276), (-81.55435349336017, 54.77957109249746),
+            (-83.7588220969426, 54.77957109249746), (-84.9995575832336, 54.769986078398276),
+            (-97.31050403253604, 52.597072761900364),
+        ],
+        (-82.65658779515138, 29.574391830922238),
+    ),
+]
+
+
+@pytest.mark.parametrize("vertices, center", SHARP_APEX_BALLS)
+def test_unit_chain_fallback_keeps_four_unit_sides(vertices, center):
+    ball = Ball(ConvexPolygon.from_pairs(vertices), Vec2(*center))
+    bound = inscribed_hexagon_bound(ball)
+    assert len(bound.hexagon.vertices) == 6
+    assert bound.unit_side_count >= 4
+    assert 3.0 - 1e-9 <= bound.half_perimeter <= pi_ball(ball) + 1e-9
+
+
 def test_perimeter_chain_random():
     rng = random.Random(43)
     for _ in range(30):
