@@ -84,8 +84,11 @@ def _emit(config: RunConfig, header: list[str], rows: list[list]) -> None:
 
 def _write(config: RunConfig, text: str) -> None:
     if config.output_path:
-        with open(config.output_path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(config.output_path, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise MinkpiError(f"cannot write {config.output_path}: {exc.strerror}") from exc
     else:
         sys.stdout.write(text)
 

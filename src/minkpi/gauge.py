@@ -9,6 +9,7 @@ positively homogeneous and subadditive but not symmetric.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .errors import CenterNotInterior
@@ -16,10 +17,11 @@ from .geom2d import (
     ALG_TOL,
     ConvexPolygon,
     Vec2,
+    _extent,
+    _relative,
     convex_hull,
     intersect_convex,
     negate,
-    vertex_sets_equal,
 )
 
 
@@ -43,8 +45,7 @@ class Ball:
                 raise CenterNotInterior(
                     f"center ({c.x}, {c.y}) is not strictly inside the shape"
                 )
-        rel = tuple((v.x - c.x, v.y - c.y) for v in self.shape.vertices)
-        object.__setattr__(self, "_rel", rel)
+        object.__setattr__(self, "_rel", tuple(_relative(self.shape.vertices, c)))
 
     def translated(self, v: Vec2) -> "Ball":
         return Ball(self.shape.translated(v), self.center + v)
@@ -115,6 +116,17 @@ def symmetrize_hull(ball: Ball) -> Ball:
 
 
 def is_centrally_symmetric(ball: Ball, tol: float = 1e-9) -> bool:
-    """True when the shape equals its point reflection about the center."""
-    rel = [v - ball.center for v in ball.shape.vertices]
-    return vertex_sets_equal(rel, [-v for v in rel], tol)
+    """True when the shape equals its point reflection about the center.
+
+    The point reflection keeps the counterclockwise order, so it must map
+    vertex i onto vertex i + n/2. ``tol`` is relative to the shape's extent
+    (its largest vertex distance from the center).
+    """
+    rel = ball._rel
+    h, odd = divmod(len(rel), 2)
+    if odd:
+        return False
+    scale = tol * _extent(rel)
+    return all(
+        math.hypot(ax + bx, ay + by) <= scale for (ax, ay), (bx, by) in zip(rel[:h], rel[h:])
+    )

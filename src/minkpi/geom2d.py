@@ -1,15 +1,17 @@
 """Planar primitives: vectors, convex polygons, hulls, clipping, mirror axes.
 
 Everything works in plain double precision with two package-wide tolerances,
-1e-9 for geometric comparisons and 1e-12 for algebraic ones. All operations
-are pure functions of immutable values.
+1e-9 for geometric comparisons and 1e-12 for algebraic ones. The mirror-axis
+tests scale theirs by the shape's extent, so they keep their meaning under
+translation and scaling. All operations are pure functions of immutable
+values.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .errors import DegenerateInput, EmptyIntersection, InvalidParameter, NotConvex
 
@@ -76,23 +78,10 @@ class Axis:
         if abs(self.direction.norm() - 1.0) > ALG_TOL:
             raise InvalidParameter("axis direction must have unit Euclidean length")
 
-    @staticmethod
-    def through(point: Vec2, direction: Vec2) -> "Axis":
-        """Axis through ``point`` along ``direction`` (normalized here)."""
-        return Axis(point, direction.normalized())
-
-    def distance_to(self, p: Vec2) -> float:
-        return abs(self.direction.cross(p - self.point))
-
     def reflect_point(self, p: Vec2) -> Vec2:
         w = p - self.point
         along = self.direction * w.dot(self.direction)
         return self.point + along * 2.0 - w
-
-    def same_line(self, other: "Axis", tol: float = GEOM_TOL) -> bool:
-        if abs(self.direction.cross(other.direction)) > tol:
-            return False
-        return self.distance_to(other.point) <= tol
 
 
 def _dedupe_adjacent(points: list[Vec2], tol: float) -> list[Vec2]:
@@ -140,9 +129,11 @@ class ConvexPolygon:
         pts = _dedupe_adjacent(pts, ALG_TOL)
         if len(pts) < 3:
             raise DegenerateInput("a polygon needs at least 3 distinct vertices")
+        # both sides are measured from pts[0], so the test is invariant under
+        # translation and scaling
         area = _signed_area(pts)
-        scale = max(abs(p.x) + abs(p.y) for p in pts)
-        if abs(area) <= ALG_TOL * max(1.0, scale * scale):
+        extent2 = max((p.x - pts[0].x) ** 2 + (p.y - pts[0].y) ** 2 for p in pts)
+        if abs(area) <= ALG_TOL * extent2:
             raise DegenerateInput("vertices are collinear")
         if area < 0.0:
             raise NotConvex("vertex loop is clockwise")
@@ -174,17 +165,17 @@ class ConvexPolygon:
         return _signed_area(list(self.vertices))
 
     def centroid(self) -> Vec2:
-        # area centroid of the polygon
-        a2 = 0.0
-        cx = cy = 0.0
-        vs = self.vertices
-        for i in range(len(vs)):
-            p, q = vs[i], vs[(i + 1) % len(vs)]
-            w = p.cross(q)
+        # area centroid, accumulated over the triangle fan from vertices[0] so
+        # that far-translated polygons keep their relative precision
+        o = self.vertices[0]
+        rel = _relative(self.vertices, o)
+        a2 = cx = cy = 0.0
+        for (px, py), (qx, qy) in zip(rel[1:], rel[2:]):
+            w = px * qy - py * qx
             a2 += w
-            cx += (p.x + q.x) * w
-            cy += (p.y + q.y) * w
-        return Vec2(cx / (3.0 * a2), cy / (3.0 * a2))
+            cx += (px + qx) * w
+            cy += (py + qy) * w
+        return Vec2(o.x + cx / (3.0 * a2), o.y + cy / (3.0 * a2))
 
     def contains(self, p: Vec2, tol: float = GEOM_TOL) -> bool:
         """True when ``p`` is inside or within ``tol`` of the boundary."""
@@ -215,9 +206,11 @@ class ConvexPolygon:
 
 
 def _signed_area(pts: list[Vec2]) -> float:
+    # shoelace over the fan from pts[0]: no cancellation between large terms
+    ox, oy = pts[0].x, pts[0].y
     total = 0.0
-    for i in range(len(pts)):
-        total += pts[i].cross(pts[(i + 1) % len(pts)])
+    for p, q in zip(pts[1:], pts[2:]):
+        total += (p.x - ox) * (q.y - oy) - (p.y - oy) * (q.x - ox)
     return 0.5 * total
 
 
@@ -312,31 +305,77 @@ def vertex_sets_equal(a: Sequence[Vec2], b: Sequence[Vec2], tol: float) -> bool:
     return True
 
 
-def _axis_candidates(p: ConvexPolygon) -> list[Axis]:
-    # mirror axes of a polygon run through its centroid and hit the boundary
-    # at a vertex or an edge midpoint, so those directions are the candidates
-    c = p.centroid()
-    dirs: list[Vec2] = []
-    targets = list(p.vertices) + [(a + b) * 0.5 for a, b in p.edges()]
-    for t in targets:
-        w = t - c
-        if w.norm() < ALG_TOL:
-            continue
-        d = w.normalized()
-        if d.x < 0 or (d.x == 0 and d.y < 0):
-            d = -d
-        if all(abs(d.cross(e)) > GEOM_TOL or d.dot(e) < 0 for e in dirs):
-            dirs.append(d)
-    return [Axis(c, d) for d in dirs]
+_Loop = Sequence[tuple[float, float]]  # vertex loop as (x, y) pairs relative to a point
+
+
+def _mirror_walk(rel: _Loop, p: int, dx: float, dy: float, tol: float) -> bool:
+    # Half-step 2i is vertex i and half-step 2i + 1 the midpoint of edge i. A
+    # mirror axis fixes half-steps p and p + n and pairs p - j with p + j, so
+    # reflecting one vertex of each pair across (dx, dy) must land on the other.
+    n = len(rel)
+    for j in range(p % 2, n + 1, 2):
+        ax, ay = rel[(p - j) // 2 % n]
+        bx, by = rel[(p + j) // 2 % n]
+        s = 2.0 * (ax * dx + ay * dy)
+        if math.hypot(s * dx - ax - bx, s * dy - ay - by) > tol:
+            return False
+    return True
+
+
+def _extent(rel: _Loop) -> float:
+    return max(math.hypot(x, y) for x, y in rel)
+
+
+def _relative(vertices: Sequence[Vec2], o: Vec2) -> list[tuple[float, float]]:
+    return [(v.x - o.x, v.y - o.y) for v in vertices]
+
+
+def _mirror_directions(rel: _Loop, tol: float) -> Iterator[tuple[float, float]]:
+    """Unit directions of the mirror axes through the origin of a vertex loop.
+
+    ``rel`` is a counterclockwise loop of (x, y) pairs relative to the point
+    the axes must pass through, and ``tol`` is relative to the loop's extent
+    (its largest vertex distance from that point). Each axis is yielded once,
+    oriented with d.x > 0 or d = (0, 1), in the order of the half-step
+    0..n-1 where it meets the boundary. Each candidate is one walk of at most
+    n/2 + 1 vertex pairs that stops at its first mismatch.
+    """
+    n = len(rel)
+    scale = tol * _extent(rel)
+    for p in range(n):
+        x, y = rel[p // 2]
+        if p % 2:
+            qx, qy = rel[(p // 2 + 1) % n]
+            x, y = 0.5 * (x + qx), 0.5 * (y + qy)
+        r = math.hypot(x, y)  # positive: the origin is interior
+        dx, dy = x / r, y / r
+        if _mirror_walk(rel, p, dx, dy, scale):
+            yield (-dx, -dy) if dx < 0.0 or (dx == 0.0 and dy < 0.0) else (dx, dy)
 
 
 def is_mirror_axis(p: ConvexPolygon, axis: Axis, tol: float = GEOM_TOL) -> bool:
-    return vertex_sets_equal(reflect(p, axis).vertices, p.vertices, tol)
+    """True when reflecting across ``axis`` maps the vertex loop onto itself.
+
+    ``tol`` is relative to the polygon's extent about ``axis.point``. The walk
+    is anchored at the vertex furthest along the axis direction, or at one of
+    its two edges when that edge is perpendicular to the axis.
+    """
+    rel = _relative(p.vertices, axis.point)
+    dx, dy = axis.direction.x, axis.direction.y
+    i = max(range(len(rel)), key=lambda k: rel[k][0] * dx + rel[k][1] * dy)
+    scale = tol * _extent(rel)
+    return any(_mirror_walk(rel, h, dx, dy, scale) for h in (2 * i, 2 * i - 1, 2 * i + 1))
 
 
 def symmetry_axes(p: ConvexPolygon, tol: float = GEOM_TOL) -> list[Axis]:
-    """All distinct mirror axes of ``p`` (empty list when there are none)."""
-    return [axis for axis in _axis_candidates(p) if is_mirror_axis(p, axis, tol)]
+    """All mirror axes of ``p``, each once (empty list when there are none).
+
+    Every axis runs through the area centroid, which is the returned
+    ``Axis.point``; ``tol`` is relative to the largest vertex distance from it.
+    """
+    c = p.centroid()
+    rel = _relative(p.vertices, c)
+    return [Axis(c, Vec2(dx, dy)) for dx, dy in _mirror_directions(rel, tol)]
 
 
 def regular_polygon(n: int, circumradius: float, phase: float = 0.0) -> ConvexPolygon:

@@ -30,7 +30,7 @@ from .geom2d import (
     Axis,
     ConvexPolygon,
     Vec2,
-    _axis_candidates,
+    _mirror_directions,
     is_mirror_axis,
 )
 
@@ -86,14 +86,14 @@ def measure_perimeters(ball: Ball, poly: ConvexPolygon) -> PerimeterReport:
 def shared_axis(ball: Ball, poly: ConvexPolygon, tol: float = GEOM_TOL) -> Optional[Axis]:
     """A mirror axis through the ball center shared by ball shape and polygon.
 
-    Returns ``None`` when no such axis exists. Candidates are the mirror-axis
-    candidates of the ball shape, filtered to lines passing through the
-    center, then checked against both vertex loops.
+    Returns ``None`` when no such axis exists. The returned ``Axis.point`` is
+    the ball center. Candidates are the mirror axes of the ball shape through
+    the center, each checked against ``poly``; ``tol`` is relative to the
+    extent of each shape about the center.
     """
-    for axis in _axis_candidates(ball.shape):
-        if axis.distance_to(ball.center) > tol:
-            continue
-        if is_mirror_axis(ball.shape, axis, tol) and is_mirror_axis(poly, axis, tol):
+    for dx, dy in _mirror_directions(ball._rel, tol):
+        axis = Axis(ball.center, Vec2(dx, dy))
+        if is_mirror_axis(poly, axis, tol):
             return axis
     return None
 
@@ -103,10 +103,10 @@ def pi_ball(ball: Ball, tol: float = GEOM_TOL) -> float:
 
     Well defined only when the shape has a mirror axis through the center
     (then the two directed sums agree); otherwise ``NoSharedAxis`` is raised
-    rather than picking one of the ambiguous directed values.
+    rather than picking one of the ambiguous directed values. ``tol`` is the
+    axis test's tolerance, relative to the shape's extent about the center.
     """
-    if shared_axis(ball, ball.shape, tol) is None:
-        raise NoSharedAxis("ball has no mirror axis through its center")
+    _axis_or_raise(ball, None, tol)
     return measure_perimeters(ball, ball.shape).ccw / 2.0
 
 
@@ -138,6 +138,8 @@ def rectify(
     """
     if refine_tol <= 0.0:
         raise InvalidParameter("refine_tol must be positive")
+    if start < 1:
+        raise InvalidParameter("start must be at least 1 segment")
     segments = start
     prev = _inscribed_length(ball, curve, segments)
     for _ in range(max_doublings):
@@ -212,6 +214,8 @@ def width_profile(
 
     Offsets are measured from the ball center along the axis direction and
     cover the full extent of the shape. Convexity makes the profile unimodal.
+    Without ``axis`` the shared axis of ``pi_ball`` is used (its point is the
+    ball center), found with ``tol`` relative to the shape's extent.
     """
     if samples < 3:
         raise InvalidParameter("need at least 3 samples")
@@ -269,7 +273,9 @@ def inscribed_hexagon_bound(
     the centered one among the collinear placements is chosen. For the rare
     balls whose pinned chords cannot reach a collinear placement at all, a
     unit-step chain hexagon is searched instead; it keeps four unit sides
-    and still certifies the bound.
+    and still certifies the bound. Without ``axis`` the shared axis of
+    ``pi_ball`` is used (its point is the ball center), found with ``tol``
+    relative to the shape's extent.
     """
     axis = _axis_or_raise(ball, axis, tol)
     d = axis.direction

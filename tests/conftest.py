@@ -4,7 +4,9 @@ These deliberately avoid the library's own algorithms: the gauge oracle works
 by bisection on point containment, and the hull oracle by exhaustive support
 tests, so they can arbitrate the fast implementations. The Radon oracle keeps
 the library's exact orthogonality check but replaces the pair scan's finite
-candidate set with a dense boundary sweep.
+candidate set with a dense boundary sweep. The mirror oracle reflects the
+whole polygon and matches the two vertex sets in any order, where the library
+walks the vertex loop in lock-step.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ import math
 import pytest
 
 from minkpi.birkhoff import birkhoff_orthogonal
-from minkpi.geom2d import ConvexPolygon, Vec2
+from minkpi.geom2d import Axis, ConvexPolygon, Vec2, reflect, vertex_sets_equal
 
 
 def gauge_by_bisection(ball, v: Vec2, iters: int = 200) -> float:
@@ -54,6 +56,29 @@ def radon_by_sweep(ball, per_edge: int = 8):
                 if not birkhoff_orthogonal(ball, y, x):
                     return x, y
     return None
+
+
+def mirror_by_reflection(poly: ConvexPolygon, axis: Axis, tol: float) -> bool:
+    """Reflect ``poly`` across ``axis`` and match the images to the vertices (O(n^2))."""
+    return vertex_sets_equal(reflect(poly, axis).vertices, poly.vertices, tol)
+
+
+def axes_by_reflection(poly: ConvexPolygon, point: Vec2, tol: float) -> list[Vec2]:
+    """Mirror axes of ``poly`` through ``point``, one direction per distinct line.
+
+    Candidates run from ``point`` to every vertex and edge midpoint; lines
+    closer than 1e-6 rad in angle count as one.
+    """
+    vs = poly.vertices
+    targets = list(vs) + [(a + b) * 0.5 for a, b in zip(vs, vs[1:] + vs[:1])]
+    found: list[Vec2] = []
+    for t in targets:
+        d = (t - point).normalized()
+        if any(abs(d.cross(e)) <= 1e-6 for e in found):
+            continue
+        if mirror_by_reflection(poly, Axis(point, d), tol):
+            found.append(d)
+    return found
 
 
 def brute_force_hull(points: list[Vec2]) -> list[Vec2]:

@@ -161,6 +161,11 @@ def run_cli_error(capsys, argv):
     return lines[0]
 
 
+def test_unwritable_output_is_a_usage_error(capsys, tmp_path):
+    line = run_cli_error(capsys, ["table", "--output", str(tmp_path / "missing" / "x.csv")])
+    assert "cannot write" in line
+
+
 def test_missing_fixture_is_a_usage_error(capsys, tmp_path):
     run_cli_error(capsys, ["gauge", "--ball", str(tmp_path / "absent.json"), "--vector", "1", "0"])
 

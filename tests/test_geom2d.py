@@ -44,6 +44,19 @@ def test_polygon_drops_collinear_and_duplicate_vertices():
     assert len(poly.vertices) == 4
 
 
+@pytest.mark.parametrize("shift", [(1e3, -7e2), (1e5, -7e4), (1e7, 1e7)])
+def test_far_translated_polygon_keeps_shape_and_centroid(shift):
+    t = Vec2(*shift)
+    moved = regular_polygon(6, 1.0, 0.0).translated(t)
+    assert len(moved) == 6
+    assert moved.signed_area() == pytest.approx(1.5 * S3, rel=1e-9)
+    assert (moved.centroid() - t).norm() <= 1e-9
+
+
+def test_tiny_polygon_is_not_collinear():
+    assert len(regular_polygon(5, 1e-8, 0.2)) == 5
+
+
 def test_hull_drops_interior_point():
     hull = convex_hull([Vec2(0, 0), Vec2(1, 0), Vec2(0, 1), Vec2(0.2, 0.2)])
     assert vertex_set(hull) == {(0.0, 0.0), (1.0, 0.0), (0.0, 1.0)}

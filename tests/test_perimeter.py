@@ -121,6 +121,9 @@ def test_rectify_reports_no_convergence():
         rectify(square, circle_curve(Vec2(0, 0), 1.0), 1e-30, start=16, max_doublings=4)
     with pytest.raises(InvalidParameter):
         rectify(square, circle_curve(Vec2(0, 0), 1.0), 0.0)
+    for start in (0, -4):
+        with pytest.raises(InvalidParameter):
+            rectify(square, circle_curve(Vec2(0, 0), 1.0), 1e-7, start=start)
 
 
 def test_width_profile_square_constant():
