@@ -284,7 +284,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("radon", help="test whether a symmetric ball induces a Radon norm")
     p.add_argument("--ball", default=None)
     p.add_argument("--n", type=int, default=None, help="use a regular n-gon instead of a fixture")
-    p.add_argument("--tol", type=float, default=None)
+    p.add_argument("--tol", type=float, default=None, help="relative tolerance (default 1e-9)")
     _io_flags(p, default_format="json")
 
     p = sub.add_parser("table", help="print a built-in reference table")

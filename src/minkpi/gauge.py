@@ -30,7 +30,8 @@ class Ball:
     """Unit ball of one asymmetric gauge: a convex shape plus an interior center.
 
     Construction fails with ``CenterNotInterior`` unless the center keeps a
-    positive distance (at least 1e-12) from every edge line. Instances are
+    positive distance from every edge line, at least 1e-12 times the shape's
+    extent (its largest vertex distance from the center). Instances are
     immutable and safe to share between threads.
     """
 
@@ -39,13 +40,15 @@ class Ball:
 
     def __post_init__(self) -> None:
         c = self.center
+        rel = tuple(_relative(self.shape.vertices, c))
+        floor = ALG_TOL * _extent(rel)
         for a, b in self.shape.edges():
             e = b - a
-            if e.cross(c - a) / e.norm() < ALG_TOL:
+            if e.cross(c - a) / e.norm() < floor:
                 raise CenterNotInterior(
                     f"center ({c.x}, {c.y}) is not strictly inside the shape"
                 )
-        object.__setattr__(self, "_rel", tuple(_relative(self.shape.vertices, c)))
+        object.__setattr__(self, "_rel", rel)
 
     def translated(self, v: Vec2) -> "Ball":
         return Ball(self.shape.translated(v), self.center + v)

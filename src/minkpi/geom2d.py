@@ -2,9 +2,9 @@
 
 Everything works in plain double precision with two package-wide tolerances,
 1e-9 for geometric comparisons and 1e-12 for algebraic ones. The mirror-axis
-tests scale theirs by the shape's extent, so they keep their meaning under
-translation and scaling. All operations are pure functions of immutable
-values.
+tests and the duplicate-vertex merge scale theirs by the shape's extent, so
+they keep their meaning under translation and scaling. All operations are
+pure functions of immutable values.
 """
 
 from __future__ import annotations
@@ -117,22 +117,23 @@ def _drop_collinear(points: list[Vec2]) -> list[Vec2]:
 class ConvexPolygon:
     """Strictly convex counterclockwise vertex loop.
 
-    The constructor normalizes its input: adjacent duplicates (within 1e-12)
-    and collinear middle vertices are dropped, then the loop must be strictly
-    counterclockwise or ``NotConvex`` is raised.
+    The constructor normalizes its input: adjacent duplicates (within 1e-12
+    of the largest distance from the first vertex) and collinear middle
+    vertices are dropped, then the loop must be strictly counterclockwise or
+    ``NotConvex`` is raised.
     """
 
     vertices: tuple[Vec2, ...]
 
     def __init__(self, vertices: Iterable[Vec2 | Sequence[float]]) -> None:
         pts = [v if isinstance(v, Vec2) else Vec2(float(v[0]), float(v[1])) for v in vertices]
-        pts = _dedupe_adjacent(pts, ALG_TOL)
+        # the duplicate and the collinearity floors are measured from pts[0],
+        # so both tests are invariant under translation and scaling
+        extent2 = max(((p.x - pts[0].x) ** 2 + (p.y - pts[0].y) ** 2 for p in pts), default=0.0)
+        pts = _dedupe_adjacent(pts, ALG_TOL * math.sqrt(extent2))
         if len(pts) < 3:
             raise DegenerateInput("a polygon needs at least 3 distinct vertices")
-        # both sides are measured from pts[0], so the test is invariant under
-        # translation and scaling
         area = _signed_area(pts)
-        extent2 = max((p.x - pts[0].x) ** 2 + (p.y - pts[0].y) ** 2 for p in pts)
         if abs(area) <= ALG_TOL * extent2:
             raise DegenerateInput("vertices are collinear")
         if area < 0.0:

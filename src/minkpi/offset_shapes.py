@@ -192,27 +192,28 @@ def _closed_form(shape: ShapeKind, config: AxisConfig, size: float):
     return lambda d: pi_hexagon(size, d, config).pi
 
 
-def _bisect_branch(f, lo: float, hi: float, target: float, decreasing: bool) -> float:
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        high_side = f(mid) > target
-        if high_side == decreasing:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo <= 1e-15 * max(1.0, abs(hi)):
-            break
-    return 0.5 * (lo + hi)
+def _quadratic_roots(a: float, b: float, c: float) -> tuple[float, float]:
+    # (smaller, larger) root of a*z^2 + b*z + c = 0 for a, c > 0 > b; each
+    # root is formed without cancellation, and a discriminant that rounding
+    # pushed below zero at a double root is read as zero
+    q = 0.5 * (math.sqrt(max(0.0, b * b - 4.0 * a * c)) - b)
+    return c / q, q / a
 
 
-def _shrink_toward(f, anchor: float, end: float, target: float) -> Optional[float]:
-    # walk from anchor toward the divergent end until f exceeds target
-    x = anchor
-    for _ in range(200):
-        x = 0.5 * (x + end)
-        if f(x) > target:
-            return x
-    return None
+def _hexagon_a_root(t: float) -> float:
+    # x = 2h/(sqrt(3)*a) solves t*x^3 - (2t+1)*x^2 + (10-3t)*x + 3 = 0. The
+    # cubic is 3 > 0 at x = 0 and 12 - 4t <= 0 at x = 1, and it has three real
+    # roots for every t >= 3, so the one in (0, 1] is the middle one. The
+    # trigonometric form gives the outer two; the middle root, near 1/t for
+    # large t, comes from the product of the roots, -3/t, without cancellation.
+    b, c, d = -(2.0 * t + 1.0) / t, (10.0 - 3.0 * t) / t, 3.0 / t
+    p = c - b * b / 3.0
+    q = 2.0 * b**3 / 27.0 - b * c / 3.0 + d
+    r = 2.0 * math.sqrt(-p / 3.0)
+    phi = math.acos(max(-1.0, min(1.0, 3.0 * q / (p * r))))
+    largest = r * math.cos(phi / 3.0) - b / 3.0
+    smallest = r * math.cos((phi - 4.0 * math.pi) / 3.0) - b / 3.0
+    return -d / (largest * smallest)
 
 
 def solve_offset_for_pi(
@@ -224,39 +225,33 @@ def solve_offset_for_pi(
     """All offsets whose closed-form half-perimeter equals ``target_pi``.
 
     For the triangle ``size`` is the height h; for square and hexagon it is
-    the side. One monotone branch is bisected on each side of the minimum, so
-    the triangle and the square yield two roots (coinciding at the exact
-    minimum, returned once) and each hexagon config yields one. Raises
-    ``Unreachable`` below the shape minimum.
+    the side. The roots are exact: each closed form is rational in the
+    offset, giving a quadratic, or a cubic for hexagon config A. The triangle
+    and the square yield two roots in increasing order (one at the exact
+    minimum) and each hexagon config yields one. Raises ``Unreachable`` below
+    the shape minimum.
     """
     if shape is ShapeKind.TRIANGLE:
         min_off, min_pi = 2.0 * size / 3.0, 4.5
-        span = (0.0, size)
     elif shape is ShapeKind.SQUARE:
         min_off, min_pi = square_minimum(size, config)
-        span = (0.0, size if config is AxisConfig.A else size * SQRT2)
     else:
         min_off, min_pi = hexagon_minimum(size, config)
-        span = (0.0, min_off)
     if target_pi < min_pi - 1e-12:
         raise Unreachable(f"target {target_pi} is below the minimum {min_pi}")
     if target_pi <= min_pi + 1e-12:
         return [min_off]
 
-    f = _closed_form(shape, config, size)
-    roots: list[float] = []
-    lo_anchor = _shrink_toward(f, min_off, span[0], target_pi)
-    if lo_anchor is not None:
-        roots.append(_bisect_branch(f, lo_anchor, min_off, target_pi, decreasing=True))
-    if span[1] > min_off:  # an increasing branch exists past the minimum
-        hi_anchor = _shrink_toward(f, min_off, span[1], target_pi)
-        if hi_anchor is not None:
-            roots.append(_bisect_branch(f, min_off, hi_anchor, target_pi, decreasing=False))
-    deduped: list[float] = []
-    for r in sorted(roots):
-        if not deduped or abs(r - deduped[-1]) > 1e-9 * max(1.0, size):
-            deduped.append(r)
-    return deduped
+    t = target_pi
+    if shape is ShapeKind.TRIANGLE:
+        return list(_quadratic_roots(2.0 * t, -(3.0 + 2.0 * t) * size, 4.0 * size * size))
+    if shape is ShapeKind.SQUARE:
+        k = 2.0 * t - 4.0 if config is AxisConfig.A else t
+        span = size if config is AxisConfig.A else size * SQRT2
+        return list(_quadratic_roots(k, -k * span, span * span))
+    if config is AxisConfig.B:
+        return list(_quadratic_roots(2.0 * t - 2.0, (2.0 - 4.0 * t) * size, 6.0 * size * size))[:1]
+    return [_hexagon_a_root(t) * SQRT3 * size / 2.0]
 
 
 def build_offset_ball(spec: OffsetShapeSpec) -> Ball:

@@ -2,11 +2,14 @@
 
 These deliberately avoid the library's own algorithms: the gauge oracle works
 by bisection on point containment, and the hull oracle by exhaustive support
-tests, so they can arbitrate the fast implementations. The Radon oracle keeps
-the library's exact orthogonality check but replaces the pair scan's finite
-candidate set with a dense boundary sweep. The mirror oracle reflects the
-whole polygon and matches the two vertex sets in any order, where the library
-walks the vertex loop in lock-step.
+tests, so they can arbitrate the fast implementations. The line-minimum
+oracle evaluates the gauge at every breakpoint of t -> gauge(x + t*y), where
+the library uses the support-function identity; the Radon oracle uses it on a
+dense boundary sweep in place of the library's finite pair scan. The mirror
+oracle reflects the whole polygon and matches the two vertex sets in any
+order, where the library walks the vertex loop in lock-step. The offset
+oracle bisects each monotone branch of a closed form, where the library
+solves the quadratic or cubic exactly.
 """
 
 from __future__ import annotations
@@ -15,7 +18,8 @@ import math
 
 import pytest
 
-from minkpi.birkhoff import birkhoff_orthogonal
+from minkpi import offset_shapes
+from minkpi.gauge import gauge
 from minkpi.geom2d import Axis, ConvexPolygon, Vec2, reflect, vertex_sets_equal
 
 
@@ -36,12 +40,28 @@ def gauge_by_bisection(ball, v: Vec2, iters: int = 200) -> float:
     return 1.0 / (0.5 * (lo + hi))
 
 
+def line_min_by_breakpoints(ball, x: Vec2, y: Vec2) -> float:
+    """min_t gauge(x + t*y), taken over x and the points where the line meets
+    a vertex direction: the breakpoints of the convex piecewise-linear map."""
+    best = gauge(ball, x)
+    for w in ball.shape.vertices:
+        wx, wy = w.x - ball.center.x, w.y - ball.center.y
+        denom = y.x * wy - y.y * wx
+        if denom == 0.0:
+            continue
+        t = -(x.x * wy - x.y * wx) / denom
+        best = min(best, gauge(ball, x + y * t))
+    return best
+
+
 def radon_by_sweep(ball, per_edge: int = 8):
     """First (x, y) with y supporting the ball at x but x not orthogonal to y.
 
     Samples ``per_edge`` points on each edge, vertices included, and tries the
     edge direction at edge points and the two extreme rays and the bisector of
-    the supporting cone at vertices. ``None`` means no violation was found.
+    the supporting cone at vertices. x counts as orthogonal to y when the
+    breakpoint line minimum is at least (1 - 1e-9) * gauge(y), the library's
+    default relative tolerance. ``None`` means no violation was found.
     """
     rel = [v - ball.center for v in ball.shape.vertices]
     n = len(rel)
@@ -53,7 +73,7 @@ def radon_by_sweep(ball, per_edge: int = 8):
         probes += [(a + (b - a) * (j / per_edge), [e_here]) for j in range(1, per_edge)]
         for x, ys in probes:
             for y in ys:
-                if not birkhoff_orthogonal(ball, y, x):
+                if line_min_by_breakpoints(ball, y, x) < (1.0 - 1e-9) * gauge(ball, y):
                     return x, y
     return None
 
@@ -79,6 +99,73 @@ def axes_by_reflection(poly: ConvexPolygon, point: Vec2, tol: float) -> list[Vec
         if mirror_by_reflection(poly, Axis(point, d), tol):
             found.append(d)
     return found
+
+
+# every (shape, axis config) pair of the offset closed forms, and each shape's minimum
+OFFSET_CASES = [
+    (offset_shapes.ShapeKind.TRIANGLE, offset_shapes.AxisConfig.A),
+    (offset_shapes.ShapeKind.SQUARE, offset_shapes.AxisConfig.A),
+    (offset_shapes.ShapeKind.SQUARE, offset_shapes.AxisConfig.B),
+    (offset_shapes.ShapeKind.HEXAGON, offset_shapes.AxisConfig.A),
+    (offset_shapes.ShapeKind.HEXAGON, offset_shapes.AxisConfig.B),
+]
+OFFSET_MINIMUM = {
+    offset_shapes.ShapeKind.TRIANGLE: 4.5,
+    offset_shapes.ShapeKind.SQUARE: 4.0,
+    offset_shapes.ShapeKind.HEXAGON: 3.0,
+}
+
+
+def offset_roots_by_bisection(shape, config, target: float, size: float) -> list[float]:
+    """Offsets where the closed form equals ``target``, by bisecting each
+    monotone branch of the closed form on either side of its minimum.
+
+    Each branch is first located by halving the distance from the minimum to
+    the divergent end until the closed form exceeds the target; roots closer
+    than 1e-9 * max(1, size) count as one.
+    """
+    f = offset_shapes._closed_form(shape, config, size)
+    if shape is offset_shapes.ShapeKind.TRIANGLE:
+        min_off, span = 2.0 * size / 3.0, (0.0, size)
+    elif shape is offset_shapes.ShapeKind.SQUARE:
+        min_off = offset_shapes.square_minimum(size, config)[0]
+        span = (0.0, size if config is offset_shapes.AxisConfig.A else size * math.sqrt(2.0))
+    else:
+        min_off = offset_shapes.hexagon_minimum(size, config)[0]
+        span = (0.0, min_off)
+
+    def bisect(lo, hi, decreasing):
+        for _ in range(200):
+            mid = 0.5 * (lo + hi)
+            if (f(mid) > target) == decreasing:
+                lo = mid
+            else:
+                hi = mid
+            if hi - lo <= 1e-15 * max(1.0, abs(hi)):
+                break
+        return 0.5 * (lo + hi)
+
+    def shrink_toward(end):
+        x = min_off
+        for _ in range(200):
+            x = 0.5 * (x + end)
+            if f(x) > target:
+                return x
+        return None
+
+    roots = []
+    lo_anchor = shrink_toward(span[0])
+    if lo_anchor is not None:
+        roots.append(bisect(lo_anchor, min_off, True))
+    if span[1] > min_off:
+        hi_anchor = shrink_toward(span[1])
+        if hi_anchor is not None:
+            roots.append(bisect(min_off, hi_anchor, False))
+    deduped: list[float] = []
+    for r in sorted(roots):
+        if not deduped or abs(r - deduped[-1]) > 1e-9 * max(1.0, size):
+            deduped.append(r)
+    return deduped
 
 
 def brute_force_hull(points: list[Vec2]) -> list[Vec2]:

@@ -5,8 +5,8 @@ import random
 
 import pytest
 
-from conftest import radon_by_sweep
-from minkpi.birkhoff import birkhoff_orthogonal, is_radon, radon_witness
+from conftest import line_min_by_breakpoints, radon_by_sweep
+from minkpi.birkhoff import _line_min_gauge, birkhoff_orthogonal, is_radon, radon_witness
 from minkpi.errors import NotSymmetricBall, ZeroVector
 from minkpi.gauge import Ball, gauge
 from minkpi.geom2d import ConvexPolygon, Vec2, convex_hull, regular_polygon
@@ -93,6 +93,60 @@ def test_pair_scan_matches_sweep_oracle(shape):
     ball = Ball(shape, Vec2(0, 0))
     witness = radon_witness(ball)
     assert is_radon(ball) == (witness is None) == (radon_by_sweep(ball) is None)
+    if witness is not None:
+        assert birkhoff_orthogonal(ball, witness.x, witness.y)
+        assert not birkhoff_orthogonal(ball, witness.y, witness.x)
+
+
+def _cross_check_norms(chunk):
+    # 21 norms per chunk: one regular and one affine even n-gon, 19 random hulls
+    rng = random.Random(7000 + chunk)
+    n = 4 + 2 * (chunk % 14)
+    shapes = [regular_polygon(n, 1.0, rng.uniform(0.0, math.pi)), _affine_image(rng, n)]
+    shapes += [_random_symmetric_hull(rng) for _ in range(19)]
+    return rng, [Ball(shape, Vec2(0, 0)) for shape in shapes]
+
+
+@pytest.mark.parametrize("chunk", range(10))
+def test_line_minimum_matches_breakpoint_oracle(chunk):
+    # 210 norms in all; per norm the 2n Radon pairs and 20 random pairs. Both
+    # sides round relative to the line's gauge at t = 0, so the identity must
+    # match within 1e-12 of that
+    rng, balls = _cross_check_norms(chunk)
+    pairs = 0
+    for ball in balls:
+        rel = [v - ball.center for v in ball.shape.vertices]
+        random_pairs = [
+            (Vec2(rng.uniform(-3, 3), rng.uniform(-3, 3)), Vec2(rng.uniform(-3, 3), rng.uniform(-3, 3)))
+            for _ in range(20)
+        ]
+        worst = 0.0  # the oracle's largest relative Radon violation
+        for a, b in zip(rel, rel[1:] + rel[:1]):
+            y = b - a
+            for x in (a, b):
+                want = line_min_by_breakpoints(ball, y, x)
+                assert abs(_line_min_gauge(ball, y, x) - want) <= 1e-12 * gauge(ball, y)
+                worst = max(worst, 1.0 - want / gauge(ball, y))
+                pairs += 1
+        for x, y in random_pairs:
+            want = line_min_by_breakpoints(ball, x, y)
+            assert abs(_line_min_gauge(ball, x, y) - want) <= 1e-12 * gauge(ball, x)
+            pairs += 1
+        assert is_radon(ball) == (worst <= 1e-9)
+    assert pairs >= 400
+
+
+@pytest.mark.parametrize(
+    "r, phase, shift, radon",
+    [(1e-6, 0.3, (0.0, 0.0), True), (1e-4, 0.3, (10.0, -10.0), True), (1e8, 0.0, (0.0, 0.0), False)],
+    ids=["hexagon-1e-6", "hexagon-1e-4-moved", "12-gon-1e8"],
+)
+def test_radon_answer_is_scale_free(r, phase, shift, radon):
+    t = Vec2(*shift)
+    n = 6 if radon else 12
+    ball = Ball(regular_polygon(n, r, phase).translated(t), t)
+    assert is_radon(ball) == radon
+    witness = radon_witness(ball)
     if witness is not None:
         assert birkhoff_orthogonal(ball, witness.x, witness.y)
         assert not birkhoff_orthogonal(ball, witness.y, witness.x)

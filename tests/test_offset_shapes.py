@@ -1,9 +1,12 @@
 """Offset-center closed forms, their minima, and the inverse solver."""
 
 import math
+import random
+from fractions import Fraction
 
 import pytest
 
+from conftest import OFFSET_CASES as CASES, OFFSET_MINIMUM as MINIMUM, offset_roots_by_bisection
 from minkpi.errors import InvalidOffset, InvalidParameter, Unreachable
 from minkpi.offset_shapes import (
     AxisConfig,
@@ -171,6 +174,36 @@ def test_solver_square_and_hexagon():
     assert solve_offset_for_pi(ShapeKind.HEXAGON, AxisConfig.A, 3.0, 1.0) == pytest.approx(
         [S3 / 2.0], abs=1e-12
     )
+
+
+@pytest.mark.parametrize("case", range(len(CASES)))
+def test_exact_roots_match_bisection_oracle(case):
+    # targets from the minimum + 1e-6 to the minimum + 1e3, sizes 1e-3..1e3
+    shape, config = CASES[case]
+    rng = random.Random(case)
+    for _ in range(100):
+        size = 10.0 ** rng.uniform(-3.0, 3.0)
+        target = MINIMUM[shape] + 10.0 ** rng.uniform(-6.0, 3.0)
+        roots = solve_offset_for_pi(shape, config, target, size)
+        want = offset_roots_by_bisection(shape, config, target, size)
+        assert len(roots) == len(want) == (1 if shape is ShapeKind.HEXAGON else 2)
+        for r, w in zip(roots, want):
+            assert abs(r - w) <= 1e-12 * max(1.0, size)
+
+
+def test_hexagon_a_cubic_has_three_real_roots():
+    # the trigonometric form needs three real roots of
+    # t*x^3 - (2t+1)*x^2 + (10-3t)*x + 3 on the whole range t >= 3; one lies
+    # in (0, 1] because the cubic is 3 at x = 0 and 12 - 4t <= 0 at x = 1
+    for excess in [0.0] + [10.0 ** (k / 100.0) for k in range(-600, 601)]:
+        t = Fraction(3.0 + excess)  # 3 .. 3 + 1e6
+        a, b, c, d = t, -(2 * t + 1), 10 - 3 * t, Fraction(3)
+        disc = 18 * a * b * c * d - 4 * b**3 * d + b**2 * c**2 - 4 * a * c**3 - 27 * a**2 * d**2
+        assert disc > 0
+        assert a + b + c + d <= 0
+    root = solve_offset_for_pi(ShapeKind.HEXAGON, AxisConfig.A, 3.0 + 1e6, 1.0)[0]
+    assert 0.0 < root < S3 / 2.0
+    assert pi_hexagon(1.0, root, AxisConfig.A).pi == pytest.approx(3.0 + 1e6, rel=1e-12)
 
 
 def test_spec_validation():

@@ -99,6 +99,14 @@ def test_huge_centred_hexagon():
     assert is_radon(ball)
 
 
+def test_tiny_centred_hexagon():
+    # the duplicate-vertex and center-to-edge floors are relative to the extent
+    ball = Ball(regular_polygon(6, 1e-13, 0.0), Vec2(0.0, 0.0))
+    assert len(ball.shape) == 6
+    assert pi_ball(ball) == pytest.approx(3.0, abs=1e-12)
+    assert is_radon(ball)
+
+
 @pytest.mark.parametrize("shift", [(1e3, -7e2), (1e5, -7e4)])
 def test_translated_unit_hexagon(shift):
     t = Vec2(*shift)
@@ -120,6 +128,7 @@ def test_scale_and_translation_sweep(exponent):
         assert pi_ball(hexagon) == pytest.approx(3.0, abs=1e-9)
         assert len(symmetry_axes(hexagon.shape)) == 6
         assert is_centrally_symmetric(hexagon)
+        assert is_radon(hexagon)
         ball = base.scaled(r).translated(t)
         assert shared_axis(ball, ball.shape).point == ball.center
         assert pi_ball(ball) == pytest.approx(want, rel=1e-9)
