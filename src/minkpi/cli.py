@@ -162,6 +162,8 @@ def _cmd_pi_offset(config: RunConfig, args) -> int:
     if args.solve is not None:
         size = args.size
         if shape is ShapeKind.TRIANGLE:
+            if not (0.0 < args.base < 2.0 * args.size):
+                raise MinkpiError("triangle base must satisfy 0 < b < 2a")
             size = math.sqrt(args.size**2 - args.base**2 / 4.0)  # solver runs on the height
         roots = solve_offset_for_pi(shape, axis_config, args.solve, size)
         rows = [[shape.value, axis_config.value, args.size, args.solve, r] for r in roots]
@@ -169,10 +171,7 @@ def _cmd_pi_offset(config: RunConfig, args) -> int:
         return 0
     if args.offset is None:
         raise MinkpiError("either --offset or --solve is required")
-    if shape is ShapeKind.TRIANGLE:
-        spec = OffsetShapeSpec(shape, axis_config, args.size, args.offset, base=args.base)
-    else:
-        spec = OffsetShapeSpec(shape, axis_config, args.size, args.offset)
+    spec = OffsetShapeSpec(shape, axis_config, args.size, args.offset, base=args.base)
     res = closed_form_pi(spec)
     ball = build_offset_ball(spec)
     geom = measure_perimeters(ball, ball.shape).ccw / 2.0

@@ -229,14 +229,16 @@ def solve_offset_for_pi(
     offset, giving a quadratic, or a cubic for hexagon config A. The triangle
     and the square yield two roots in increasing order (one at the exact
     minimum) and each hexagon config yields one. Raises ``Unreachable`` below
-    the shape minimum.
+    the shape minimum and ``InvalidParameter`` unless ``size`` is positive and
+    finite and ``target_pi`` is finite.
     """
+    if not (0.0 < size < math.inf and math.isfinite(target_pi)):
+        raise InvalidParameter(f"need a positive finite size and a finite target, got {size}, {target_pi}")
     if shape is ShapeKind.TRIANGLE:
         min_off, min_pi = 2.0 * size / 3.0, 4.5
-    elif shape is ShapeKind.SQUARE:
-        min_off, min_pi = square_minimum(size, config)
     else:
-        min_off, min_pi = hexagon_minimum(size, config)
+        minimum = square_minimum if shape is ShapeKind.SQUARE else hexagon_minimum
+        min_off, min_pi = minimum(size, config)
     if target_pi < min_pi - 1e-12:
         raise Unreachable(f"target {target_pi} is below the minimum {min_pi}")
     if target_pi <= min_pi + 1e-12:

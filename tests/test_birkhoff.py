@@ -110,10 +110,12 @@ def _cross_check_norms(chunk):
 @pytest.mark.parametrize("chunk", range(10))
 def test_line_minimum_matches_breakpoint_oracle(chunk):
     # 210 norms in all; per norm the 2n Radon pairs and 20 random pairs. Both
-    # sides round relative to the line's gauge at t = 0, so the identity must
-    # match within 1e-12 of that
+    # sides round relative to the line's gauge at t = 0, so the gap relative
+    # to the minimum grows like 1/sin(angle between x and y): on the few
+    # random pairs within 1e-3 of parallel it is bounded by 1e-12 of gauge(x),
+    # on all the others by 1e-12 of the minimum itself
     rng, balls = _cross_check_norms(chunk)
-    pairs = 0
+    pairs = 0  # pairs held to 1e-12 of the minimum
     for ball in balls:
         rel = [v - ball.center for v in ball.shape.vertices]
         random_pairs = [
@@ -125,13 +127,17 @@ def test_line_minimum_matches_breakpoint_oracle(chunk):
             y = b - a
             for x in (a, b):
                 want = line_min_by_breakpoints(ball, y, x)
-                assert abs(_line_min_gauge(ball, y, x) - want) <= 1e-12 * gauge(ball, y)
+                assert abs(_line_min_gauge(ball, y, x) - want) <= 1e-12 * want
                 worst = max(worst, 1.0 - want / gauge(ball, y))
                 pairs += 1
         for x, y in random_pairs:
             want = line_min_by_breakpoints(ball, x, y)
-            assert abs(_line_min_gauge(ball, x, y) - want) <= 1e-12 * gauge(ball, x)
-            pairs += 1
+            gap = abs(_line_min_gauge(ball, x, y) - want)
+            if abs(x.cross(y)) >= 1e-3 * x.norm() * y.norm():
+                assert gap <= 1e-12 * want
+                pairs += 1
+            else:
+                assert gap <= 1e-12 * gauge(ball, x)
         assert is_radon(ball) == (worst <= 1e-9)
     assert pairs >= 400
 

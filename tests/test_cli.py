@@ -194,6 +194,22 @@ def test_empty_pi_regular_range_is_a_usage_error(capsys):
     run_cli_error(capsys, ["pi-regular", "--n-min", "10", "--n-max", "5"])
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--shape", "square", "--config", "A", "--size", "0", "--solve", "5"],
+        ["--shape", "hexagon", "--config", "B", "--size", "0", "--solve", "5"],
+        ["--shape", "square", "--config", "B", "--size", "-1", "--solve", "5"],
+        ["--shape", "triangle", "--size", "1", "--base", "2", "--solve", "5"],
+        ["--shape", "triangle", "--size", "1", "--base", "3", "--solve", "5"],
+        ["--shape", "square", "--solve", "nan"],
+    ],
+    ids=["square-size-0", "hexagon-size-0", "square-size-negative", "triangle-flat", "triangle-base-too-long", "nan-target"],
+)
+def test_bad_solve_request_is_a_usage_error(capsys, argv):
+    run_cli_error(capsys, ["pi-offset", *argv])
+
+
 def test_radon_has_no_directions_flag(capsys):
     with pytest.raises(SystemExit) as err:
         cli.main(["radon", "--n", "10", "--directions", "8"])

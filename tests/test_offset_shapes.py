@@ -12,6 +12,8 @@ from minkpi.offset_shapes import (
     AxisConfig,
     OffsetShapeSpec,
     ShapeKind,
+    _closed_form,
+    _offset_interval,
     build_offset_ball,
     closed_form_pi,
     hexagon_minimum,
@@ -178,7 +180,8 @@ def test_solver_square_and_hexagon():
 
 @pytest.mark.parametrize("case", range(len(CASES)))
 def test_exact_roots_match_bisection_oracle(case):
-    # targets from the minimum + 1e-6 to the minimum + 1e3, sizes 1e-3..1e3
+    # targets from the minimum + 1e-6 to the minimum + 1e3, sizes 1e-3..1e3;
+    # the roots are sorted, lie in the valid interval and reach the target
     shape, config = CASES[case]
     rng = random.Random(case)
     for _ in range(100):
@@ -187,8 +190,26 @@ def test_exact_roots_match_bisection_oracle(case):
         roots = solve_offset_for_pi(shape, config, target, size)
         want = offset_roots_by_bisection(shape, config, target, size)
         assert len(roots) == len(want) == (1 if shape is ShapeKind.HEXAGON else 2)
+        assert roots == sorted(roots)
+        if shape is ShapeKind.TRIANGLE:
+            hi, closed = size, False  # the triangle's size is its height
+        else:
+            _, hi, closed = _offset_interval(shape, config, size)
+        f = _closed_form(shape, config, size)
         for r, w in zip(roots, want):
             assert abs(r - w) <= 1e-12 * max(1.0, size)
+            assert 0.0 < r and (r <= hi if closed else r < hi)
+            assert f(r) == pytest.approx(target, rel=1e-10)
+
+
+@pytest.mark.parametrize("case", range(len(CASES)))
+@pytest.mark.parametrize(
+    "size, target", [(0.0, 5.0), (-1.0, 5.0), (math.inf, 5.0), (1.0, math.nan), (1.0, math.inf)]
+)
+def test_solver_rejects_bad_size_or_target(case, size, target):
+    shape, config = CASES[case]
+    with pytest.raises(InvalidParameter):
+        solve_offset_for_pi(shape, config, target, size)
 
 
 def test_hexagon_a_cubic_has_three_real_roots():
