@@ -5,6 +5,11 @@ gauge of a vector v is 1/s, where s is the largest scalar such that
 center + s*v still lies in the polygon. With an off-center choice the gauge
 of v and of -v differ, which is the whole point: the resulting function is
 positively homogeneous and subadditive but not symmetric.
+
+For a polygon the gauge is the largest of its facet functionals: edge j, from
+w_j to w_{j+1} relative to the center, lies on the line f_j . x = 1, and
+gauge(v) = max_j f_j . v (Schneider, *Convex Bodies*, section 1.7). Each
+``Ball`` computes the f_j once, and every gauge evaluation reads them.
 """
 
 from __future__ import annotations
@@ -31,8 +36,11 @@ class Ball:
 
     Construction fails with ``CenterNotInterior`` unless the center keeps a
     positive distance from every edge line, at least 1e-12 times the shape's
-    extent (its largest vertex distance from the center). Instances are
-    immutable and safe to share between threads.
+    extent (its largest vertex distance from the center). ``_rel`` holds the
+    vertices relative to the center as (x, y) floats, and ``_facets[j]`` the
+    functional (f_x, f_y) of edge j, from ``_rel[j]`` to ``_rel[j + 1]``, that
+    is 1 on that edge's line. Instances are immutable and safe to share
+    between threads.
     """
 
     shape: ConvexPolygon
@@ -42,13 +50,18 @@ class Ball:
         c = self.center
         rel = tuple(_relative(self.shape.vertices, c))
         floor = ALG_TOL * _extent(rel)
-        for a, b in self.shape.edges():
-            e = b - a
-            if e.cross(c - a) / e.norm() < floor:
+        facets = []
+        for (ax, ay), (bx, by) in zip(rel, rel[1:] + rel[:1]):
+            # h = cross(w_j, w_{j+1}) is the center-to-edge distance times |e_j|
+            ex, ey = bx - ax, by - ay
+            h = ax * by - ay * bx
+            if h < floor * math.hypot(ex, ey):
                 raise CenterNotInterior(
                     f"center ({c.x}, {c.y}) is not strictly inside the shape"
                 )
+            facets.append((ey / h, -ex / h))
         object.__setattr__(self, "_rel", rel)
+        object.__setattr__(self, "_facets", tuple(facets))
 
     def translated(self, v: Vec2) -> "Ball":
         return Ball(self.shape.translated(v), self.center + v)
@@ -69,23 +82,12 @@ class Ball:
 
 
 def _gauge_xy(ball: Ball, vx: float, vy: float) -> float:
-    # Walk the edge fan around the center: direction v falls in exactly one
-    # half-open cone [w_i, w_{i+1}); the exit scale comes from that edge line.
-    if vx == 0.0 and vy == 0.0:
-        return 0.0
-    rel = ball._rel
-    n = len(rel)
-    w0x, w0y = rel[0]
-    c_prev = w0x * vy - w0y * vx  # cross(w_i, v)
-    for i in range(n):
-        w1x, w1y = rel[(i + 1) % n]
-        c_next = w1x * vy - w1y * vx
-        # cross(w_i, v) >= 0 and cross(v, w_{i+1}) > 0
-        if c_prev >= 0.0 and c_next < 0.0:
-            ex, ey = w1x - w0x, w1y - w0y
-            return (vx * ey - vy * ex) / (w0x * w1y - w0y * w1x)
-        w0x, w0y, c_prev = w1x, w1y, c_next
-    raise RuntimeError("gauge cone walk failed; ball invariant violated")
+    # the largest facet functional; the zero vector gives 0
+    g = 0.0
+    for fx, fy in ball._facets:
+        s = fx * vx + fy * vy
+        g = s if s > g else g
+    return g
 
 
 def gauge(ball: Ball, v: Vec2) -> float:

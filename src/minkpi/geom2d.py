@@ -55,8 +55,8 @@ class Vec2:
 
     def normalized(self) -> "Vec2":
         n = self.norm()
-        if n < ALG_TOL:
-            raise InvalidParameter("cannot normalize a near-zero vector")
+        if n == 0.0 or not math.isfinite(n):
+            raise InvalidParameter("cannot normalize a zero or overflowing vector")
         return Vec2(self.x / n, self.y / n)
 
     def perp(self) -> "Vec2":
@@ -252,9 +252,13 @@ def convex_hull(points: Iterable[Vec2 | Sequence[float]]) -> ConvexPolygon:
 def intersect_convex(p: ConvexPolygon, q: ConvexPolygon) -> ConvexPolygon:
     """Set intersection of two convex polygons by half-plane clipping.
 
-    ``q`` is clipped successively against every directed edge of ``p``.
+    ``q`` is clipped successively against every directed edge of ``p``. A
+    vertex within 1e-12 of an edge line, relative to the largest distance of
+    any vertex of ``p`` or ``q`` from ``p``'s first vertex, counts as inside.
     Raises ``EmptyIntersection`` when the interiors are disjoint.
     """
+    o = p.vertices[0]
+    tol = ALG_TOL * max(math.hypot(v.x - o.x, v.y - o.y) for v in p.vertices + q.vertices)
     out = list(q.vertices)
     for a, b in p.edges():
         if not out:
@@ -267,8 +271,8 @@ def intersect_convex(p: ConvexPolygon, q: ConvexPolygon) -> ConvexPolygon:
         for i in range(m):
             s, t = out[i], out[(i + 1) % m]
             ds, dt = dist[i], dist[(i + 1) % m]
-            s_in = ds >= -ALG_TOL
-            t_in = dt >= -ALG_TOL
+            s_in = ds >= -tol
+            t_in = dt >= -tol
             if s_in:
                 kept.append(s)
             if s_in != t_in:

@@ -23,13 +23,14 @@ from .errors import (
     NoSharedAxis,
     NotConvex,
 )
-from .gauge import Ball, _gauge_xy, boundary_point, gauge
+from .gauge import Ball, _gauge_xy, gauge
 from .geom2d import (
     ALG_TOL,
     GEOM_TOL,
     Axis,
     ConvexPolygon,
     Vec2,
+    _extent,
     _mirror_directions,
     is_mirror_axis,
 )
@@ -179,7 +180,7 @@ def circle_curve(center: Vec2, radius: float) -> Callable[[float], Vec2]:
 def _chord_span(ball: Ball, offset: float, d: Vec2, u: Vec2) -> Optional[tuple[float, float]]:
     # span of the shape on the line center + offset*d + s*u, as (s_min, s_max)
     base = ball.center + d * offset
-    eps = ALG_TOL * max(1.0, max(abs(v.x) + abs(v.y) for v in ball.shape.vertices))
+    eps = ALG_TOL * max(abs(v.x) + abs(v.y) for v in ball.shape.vertices)
     ss: list[float] = []
     for a, b in ball.shape.edges():
         fa = (a - base).dot(d)
@@ -243,7 +244,7 @@ def _chord_offset(ball: Ball, c: float, d: Vec2, u: Vec2, end: float) -> float:
     # unimodality the predicate width(y) >= c holds exactly on [0, that offset].
     # The end face gets a whisker of slack so that a face whose length equals c
     # up to trigonometric noise is recognized as the face case.
-    if _width_at(ball, end, d, u) >= c - 1e-11 * max(1.0, c):
+    if _width_at(ball, end, d, u) >= c - 1e-11 * c:
         return end
     lo, hi = 0.0, end
     for _ in range(80):
@@ -282,7 +283,7 @@ def inscribed_hexagon_bound(
     u = Vec2(d.y, -d.x)  # (u, d) is a right-handed frame, so the loop below is ccw
     offs = [(v - ball.center).dot(d) for v in ball.shape.vertices]
     span0 = _chord_span(ball, 0.0, d, u)
-    if span0 is None or span0[1] - span0[0] <= ALG_TOL:
+    if span0 is None or span0[1] - span0[0] <= ALG_TOL * _extent(ball._rel):
         raise DegenerateChord("chord through the center has zero length")
     c = 0.5 * (span0[1] - span0[0])
 
@@ -333,90 +334,71 @@ def _hex_bound_of(ball: Ball, vertices: list[Vec2]) -> HexBound:
     return HexBound(hexagon=hexagon, half_perimeter=report.ccw / 2.0, unit_side_count=units)
 
 
-def _boundary_nodes(ball: Ball, per_edge: int = 4) -> list[Vec2]:
-    # boundary points in ccw order, vertices plus evenly spaced edge interiors
-    nodes: list[Vec2] = []
-    for a, b in ball.shape.edges():
-        for j in range(per_edge):
-            nodes.append(a + (b - a) * (j / per_edge))
-    return nodes
-
-
-def _angles_from(center: Vec2, nodes: list[Vec2], base: float) -> list[float]:
-    # unwrapped ccw angular positions in (base, base + 2*pi]
-    out = []
-    for p in nodes:
-        ang = math.atan2(p.y - center.y, p.x - center.x)
-        while ang <= base:
-            ang += 2.0 * math.pi
-        out.append(ang)
-    return out
-
-
-def _point_at_angle(ball: Ball, ang: float) -> Vec2:
-    return boundary_point(ball, Vec2(math.cos(ang), math.sin(ang)))
-
-
 def _unit_chain_bound(ball: Ball) -> Optional[HexBound]:
-    """Search for an inscribed hexagon with four unit-gauge sides and measure >= 6."""
-    center = ball.center
-    nodes = _boundary_nodes(ball)
+    """Search for an inscribed hexagon with four unit-gauge sides and measure >= 6.
 
-    def step(start: Vec2, start_ang: float, limit_ang: float) -> Optional[tuple[float, Vec2]]:
-        grid = sorted(zip(_angles_from(center, nodes, start_ang), nodes), key=lambda t: t[0])
-        prev_ang, prev_g = start_ang, 0.0
-        for ang, node in grid:
-            if ang >= limit_ang:
-                return None
-            g = _gauge_xy(ball, node.x - start.x, node.y - start.y)
-            if prev_g < 1.0 <= g:
-                lo, hi = prev_ang, ang
-                for _ in range(80):
-                    mid = 0.5 * (lo + hi)
-                    p = _point_at_angle(ball, mid)
-                    if _gauge_xy(ball, p.x - start.x, p.y - start.y) < 1.0:
-                        lo = mid
-                    else:
-                        hi = mid
-                hit = 0.5 * (lo + hi)
-                return hit, _point_at_angle(ball, hit)
-            prev_ang, prev_g = ang, g
+    A boundary position s is edge floor(s) of ``ball._rel`` (mod n) at
+    fraction s - floor(s). A chain starts at s1 = n*i/12, takes two unit
+    steps, jumps a fraction of what is left of the turn, and takes two more,
+    all before s1 + n. A unit step is exact: along edge (a, b) the gauge from
+    p is the largest facet term f_j . (a - p) + t * f_j . (b - a), so it first
+    reaches 1 at the least root of the growing terms. Returns the first chain
+    of the 12 x 8 grid reaching 3 + 1e-6, else the largest with four unit
+    sides, or None.
+    """
+    rel, facets = ball._rel, ball._facets
+    n = len(rel)
+    cx, cy = ball.center.x, ball.center.y
+
+    def point(s: float) -> tuple[float, float]:
+        k = math.floor(s)
+        t = s - k
+        ax, ay = rel[k % n]
+        bx, by = rel[(k + 1) % n]
+        return ax + t * (bx - ax), ay + t * (by - ay)
+
+    def step(s: float, limit: float) -> Optional[float]:
+        # the first position after s whose point is at gauge 1 from point(s)
+        px, py = point(s)
+        k = math.floor(s)
+        t0 = s - k
+        while k < limit:
+            ax, ay = rel[k % n]
+            bx, by = rel[(k + 1) % n]
+            ex, ey, qx, qy = bx - ax, by - ay, ax - px, ay - py
+            hit = math.inf
+            for fx, fy in facets:
+                beta = fx * ex + fy * ey
+                if beta > 0.0:
+                    t = (1.0 - fx * qx - fy * qy) / beta
+                    hit = t if t < hit else hit
+            if hit <= 1.0:
+                s_hit = k + max(hit, t0)
+                return s_hit if s_hit < limit else None
+            k, t0 = k + 1, 0.0
         return None
 
-    def chain(phi1: float, frac: float) -> Optional[HexBound]:
-        v1 = _point_at_angle(ball, phi1)
-        wrap = phi1 + 2.0 * math.pi
-        s1 = step(v1, phi1, wrap)
-        if s1 is None:
+    def chain(s1: float, frac: float) -> Optional[HexBound]:
+        wrap = s1 + n
+        s2 = step(s1, wrap)
+        s3 = None if s2 is None else step(s2, wrap)
+        if s3 is None:
             return None
-        a2, v2 = s1
-        s2 = step(v2, a2, wrap)
-        if s2 is None:
+        s4 = s3 + (wrap - s3) * frac
+        s5 = step(s4, wrap)
+        s6 = None if s5 is None else step(s5, wrap - 1e-9)
+        if s6 is None:
             return None
-        a3, v3 = s2
-        phi4 = a3 + (wrap - a3) * frac
-        v4 = _point_at_angle(ball, phi4)
-        s4 = step(v4, phi4, wrap)
-        if s4 is None:
-            return None
-        a5, v5 = s4
-        s5 = step(v5, a5, wrap)
-        if s5 is None:
-            return None
-        a6, v6 = s5
-        if a6 >= wrap - 1e-9:
-            return None
+        vertices = [Vec2(cx + x, cy + y) for x, y in map(point, (s1, s2, s3, s4, s5, s6))]
         try:
-            return _hex_bound_of(ball, [v1, v2, v3, v4, v5, v6])
+            return _hex_bound_of(ball, vertices)
         except (DegenerateInput, NotConvex):
             return None
 
     best: Optional[HexBound] = None
     for i in range(12):
-        phi1 = -math.pi + 2.0 * math.pi * i / 12.0
         for j in range(8):
-            frac = 0.15 + 0.7 * j / 7.0
-            cand = chain(phi1, frac)
+            cand = chain(n * i / 12.0, 0.15 + 0.7 * j / 7.0)
             # a chain whose vertices fall collinear collapses to fewer unit
             # sides and certifies nothing, however long it is
             if cand is None or cand.unit_side_count < 4:

@@ -16,7 +16,7 @@ from minkpi.gauge import (
     symmetrize_intersection,
 )
 from minkpi.geom2d import ConvexPolygon, Vec2, regular_polygon, vertex_sets_equal
-from minkpi.sampling import random_ball
+from minkpi.sampling import random_ball, random_symmetric_ball
 
 S3 = math.sqrt(3.0)
 SQUARE = ConvexPolygon([Vec2(-1, -1), Vec2(1, -1), Vec2(1, 1), Vec2(-1, 1)])
@@ -36,6 +36,18 @@ def test_equilateral_gauge_is_asymmetric(equilateral):
     # cross-check against the containment-bisection oracle
     for v in (Vec2(0, 1), Vec2(0, -1), Vec2(0.3, -0.8), Vec2(-1.2, 0.4)):
         assert gauge(ball, v) == pytest.approx(gauge_by_bisection(ball, v), rel=1e-9)
+
+
+def test_gauge_matches_bisection_oracle_on_random_balls():
+    # the largest facet functional against containment bisection, on random
+    # convex balls and on mirror-symmetric balls with an off-center center
+    rng = random.Random(53)
+    balls = [random_ball(rng) for _ in range(10)] + [random_symmetric_ball(rng) for _ in range(10)]
+    for ball in balls:
+        for _ in range(20):
+            a, r = rng.uniform(0.0, 2.0 * math.pi), rng.uniform(0.1, 3.0)
+            v = Vec2(r * math.cos(a), r * math.sin(a))
+            assert gauge(ball, v) == pytest.approx(gauge_by_bisection(ball, v), rel=1e-9)
 
 
 def test_offset_triangle_directed_side_gauges():

@@ -30,6 +30,13 @@ def test_vec2_rejects_non_finite():
         Vec2(0.0, float("inf"))
 
 
+def test_normalized_rejects_only_zero_length():
+    # no absolute floor: a vector of length 1e-13 still has a direction
+    assert Vec2(1e-13, 0.0).normalized() == Vec2(1.0, 0.0)
+    with pytest.raises(InvalidParameter):
+        Vec2(0.0, 0.0).normalized()
+
+
 def test_polygon_needs_three_ccw_vertices():
     with pytest.raises(DegenerateInput):
         ConvexPolygon([Vec2(0, 0), Vec2(1, 0)])

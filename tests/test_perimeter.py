@@ -19,6 +19,7 @@ from minkpi.perimeter import (
     shared_axis,
     width_profile,
     _inscribed_length,
+    _unit_chain_bound,
 )
 from minkpi.sampling import random_symmetric_ball
 
@@ -177,6 +178,15 @@ def test_hexagon_bound_tight_on_regular_hexagon():
     assert bound.unit_side_count == 6
 
 
+@pytest.mark.parametrize("radius", [1e-13, 1e-9, 1e-4, 1.0, 1e4, 1e8])
+def test_hexagon_bound_regular_hexagon_at_every_scale(radius):
+    # the chord floors are relative to the shape: an absolute floor called the
+    # center chord of the 1e-13 hexagon degenerate
+    bound = inscribed_hexagon_bound(Ball(regular_polygon(6, radius, 0.0), Vec2(0, 0)))
+    assert bound.half_perimeter == pytest.approx(3.0, abs=1e-12)
+    assert bound.unit_side_count == 6
+
+
 def test_hexagon_bound_near_disc():
     ball = Ball(regular_polygon(64, 1.0, 0.0), Vec2(0, 0))
     bound = inscribed_hexagon_bound(ball)
@@ -255,6 +265,25 @@ def test_unit_chain_fallback_keeps_four_unit_sides(vertices, center):
     assert len(bound.hexagon.vertices) == 6
     assert bound.unit_side_count >= 4
     assert 3.0 - 1e-9 <= bound.half_perimeter <= pi_ball(ball) + 1e-9
+
+
+def test_unit_chain_certifies_random_balls():
+    # called directly, the exact unit-step search certifies every ball, not
+    # only those whose chord hexagon is pinned; sides are checked by the oracle
+    rng = random.Random(59)
+    for _ in range(30):
+        ball = random_symmetric_ball(rng)
+        bound = _unit_chain_bound(ball)
+        assert bound is not None
+        vs = bound.hexagon.vertices
+        assert len(vs) == 6
+        for v in vs:
+            assert gauge_by_bisection(ball, v - ball.center) == pytest.approx(1.0, abs=1e-10)
+        units = sum(
+            1 for a, b in bound.hexagon.edges() if abs(gauge_by_bisection(ball, b - a) - 1.0) <= 1e-9
+        )
+        assert units >= 4
+        assert 3.0 - 1e-9 <= bound.half_perimeter <= pi_ball(ball) + 1e-9
 
 
 def test_perimeter_chain_random():

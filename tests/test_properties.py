@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from minkpi.birkhoff import is_radon
 from minkpi.gauge import Ball, gauge
 from minkpi.geom2d import ConvexPolygon, Vec2, convex_hull, regular_polygon
-from minkpi.perimeter import pi_ball
+from minkpi.perimeter import inscribed_hexagon_bound, pi_ball
 
 PROPERTY = settings(derandomize=True, deadline=None, max_examples=60)
 
@@ -78,6 +78,22 @@ def test_pi_ball_is_invariant_under_scaling_and_translation(ball, e, tx, ty):
     r = 10.0**e
     moved = ball.scaled(r).translated(Vec2(tx * 1e4 * r, ty * 1e4 * r))
     assert pi_ball(moved) == pytest.approx(pi_ball(ball), rel=1e-9, abs=0.0)
+
+
+@PROPERTY
+@given(ball=mirror_balls(), e=st.floats(min_value=-9.0, max_value=8.0))
+def test_certificate_is_invariant_under_scaling(ball, e):
+    """The hexagon certificate keeps its value, its four unit sides and its
+    bracket [3, pi_ball] when the ball is scaled about the origin.
+
+    Translation is left out: a translated ball's axis direction can come out
+    reversed by rounding, and the certificate then reads another valid value.
+    """
+    moved = ball.scaled(10.0**e)
+    base, bound = inscribed_hexagon_bound(ball), inscribed_hexagon_bound(moved)
+    assert bound.half_perimeter == pytest.approx(base.half_perimeter, rel=1e-9, abs=0.0)
+    assert base.unit_side_count >= 4 and bound.unit_side_count >= 4
+    assert 3.0 - 1e-9 <= bound.half_perimeter <= pi_ball(moved) + 1e-9
 
 
 @PROPERTY

@@ -132,3 +132,15 @@ def test_scale_and_translation_sweep(exponent):
         ball = base.scaled(r).translated(t)
         assert shared_axis(ball, ball.shape).point == ball.center
         assert pi_ball(ball) == pytest.approx(want, rel=1e-9)
+
+
+def test_tiny_ball_keeps_its_intersection_vertices():
+    # the clip tolerance is relative to the polygons' size: at scale 1e-9 an
+    # absolute 1e-12 dropped a vertex of each core and broke its mirror axis
+    rng = random.Random(3)
+    balls = [random_symmetric_ball(rng) for _ in range(33)]
+    for i, count in ((30, 10), (32, 14)):
+        core = symmetrize_intersection(balls[i])
+        tiny = symmetrize_intersection(balls[i].scaled(1e-9))
+        assert len(core.shape.vertices) == len(tiny.shape.vertices) == count
+        assert pi_ball(tiny) == pytest.approx(pi_ball(core), rel=1e-9)
