@@ -6,24 +6,29 @@ those print one ``error: ...`` line on stderr.
 CSV output carries a header row and 15 significant digits. The seed for
 randomized suites defaults to 0, can be set by the MINKPI_SEED environment
 variable, and is overridden by an explicit --seed flag.
+
+``main`` parses with one parser per process, built on its first call, so
+repeated in-process calls skip the argparse build; ``build_parser()`` still
+returns a fresh parser on every call.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
-import math
+import functools
 import io
 import json
+import math
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Optional
 
 from . import verify as vf
 from .errors import MinkpiError
 from .gauge import Ball, gauge
-from .geom2d import ConvexPolygon, Vec2
+from .geom2d import ConvexPolygon, Vec2, regular_polygon
 from .offset_shapes import (
     AxisConfig,
     OffsetShapeSpec,
@@ -216,8 +221,6 @@ def _cmd_perimeter(config: RunConfig, args) -> int:
 
 def _cmd_radon(config: RunConfig, args) -> int:
     if args.n is not None:
-        from .geom2d import regular_polygon
-
         ball = Ball(regular_polygon(args.n, 1.0, 0.0), Vec2(0.0, 0.0))
     elif args.ball:
         ball = _load_ball(args.ball)
@@ -237,13 +240,18 @@ def _cmd_radon(config: RunConfig, args) -> int:
 
 def _cmd_verify(config: RunConfig, args) -> int:
     results = vf.run_all(config.seed)
-    lines = []
-    for res in results:
-        status = "PASS" if res.passed else "FAIL"
-        lines.append(f"{status}  {res.name}: {res.detail}")
     ok = all(r.passed for r in results)
-    lines.append(f"{'OK' if ok else 'FAILED'}: {sum(r.passed for r in results)}/{len(results)} checks passed (seed {config.seed})")
-    _write(config, "\n".join(lines) + "\n")
+    if config.output_format == "json":
+        payload = {"seed": config.seed, "ok": ok, "checks": [asdict(r) for r in results]}
+        text = json.dumps(payload, indent=2, sort_keys=True)
+    else:
+        lines = []
+        for res in results:
+            status = "PASS" if res.passed else "FAIL"
+            lines.append(f"{status}  {res.name}: {res.detail}")
+        lines.append(f"{'OK' if ok else 'FAILED'}: {sum(r.passed for r in results)}/{len(results)} checks passed (seed {config.seed})")
+        text = "\n".join(lines)
+    _write(config, text + "\n")
     return 0 if ok else 1
 
 
@@ -312,9 +320,20 @@ COMMANDS = {
 }
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    # parse_args leaves the parser unchanged and fills a fresh Namespace, so
+    # one parser serves every call in the process
+    return build_parser()
+
+
 def main(argv: Optional[list[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    """Run one ``minkpi`` command and return its exit code.
+
+    The parser is built on the first call and reused by later calls in the
+    same process; usage errors raise ``SystemExit`` with code 2.
+    """
+    args = _parser().parse_args(argv)
     try:
         config = RunConfig(
             command=args.command,

@@ -69,6 +69,7 @@ class HexBound:
     hexagon: ConvexPolygon
     half_perimeter: float
     unit_side_count: int
+    route: str  # "chord" (the chord hexagon) or "unit-chain" (the fallback search)
 
 
 def measure_perimeters(ball: Ball, poly: ConvexPolygon) -> PerimeterReport:
@@ -310,7 +311,7 @@ def inscribed_hexagon_bound(
     a1 = center + d * y_up + u * (t_a - c)
     b1 = center + d * y_dn + u * t_b
     b2 = center + d * y_dn + u * (t_b + c)
-    best = _hex_bound_of(ball, [q_plus, a2, a1, q_minus, b1, b2])
+    best = _hex_bound_of(ball, [q_plus, a2, a1, q_minus, b1, b2], "chord")
     if best.half_perimeter >= 3.0 - 1e-9:
         return best
 
@@ -327,11 +328,11 @@ def inscribed_hexagon_bound(
     return best
 
 
-def _hex_bound_of(ball: Ball, vertices: list[Vec2]) -> HexBound:
+def _hex_bound_of(ball: Ball, vertices: list[Vec2], route: str) -> HexBound:
     hexagon = ConvexPolygon(vertices)
     report = measure_perimeters(ball, hexagon)
     units = sum(1 for a, b in hexagon.edges() if abs(gauge(ball, b - a) - 1.0) <= 1e-9)
-    return HexBound(hexagon=hexagon, half_perimeter=report.ccw / 2.0, unit_side_count=units)
+    return HexBound(hexagon=hexagon, half_perimeter=report.ccw / 2.0, unit_side_count=units, route=route)
 
 
 def _unit_chain_bound(ball: Ball) -> Optional[HexBound]:
@@ -391,7 +392,7 @@ def _unit_chain_bound(ball: Ball) -> Optional[HexBound]:
             return None
         vertices = [Vec2(cx + x, cy + y) for x, y in map(point, (s1, s2, s3, s4, s5, s6))]
         try:
-            return _hex_bound_of(ball, vertices)
+            return _hex_bound_of(ball, vertices, "unit-chain")
         except (DegenerateInput, NotConvex):
             return None
 

@@ -10,7 +10,8 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from time import perf_counter
 from typing import Callable
 
 from . import birkhoff as bk
@@ -29,6 +30,7 @@ class CheckResult:
     name: str
     passed: bool
     detail: str
+    seconds: float = 0.0  # wall time of the check, set by run_all
 
 
 def _check(name: str, failures: list[str], detail_ok: str) -> CheckResult:
@@ -629,12 +631,15 @@ SUITES: list[Callable[..., CheckResult]] = [
 
 
 def run_all(seed: int = 0) -> list[CheckResult]:
-    """Every acceptance criterion followed by every module invariant suite."""
+    """Every acceptance criterion followed by every module invariant suite,
+    each timed with ``perf_counter`` into its ``seconds`` field."""
     results: list[CheckResult] = []
     for label, fn in CRITERIA:
+        t0 = perf_counter()
         res = fn(seed) if fn in (criterion_lower_bound, criterion_perimeter_chain) else fn()
-        results.append(CheckResult(f"criterion {label}: {res.name}", res.passed, res.detail))
+        results.append(replace(res, name=f"criterion {label}: {res.name}", seconds=perf_counter() - t0))
     for fn in SUITES:
+        t0 = perf_counter()
         res = fn() if fn is suite_regular_pi else fn(seed)
-        results.append(res)
+        results.append(replace(res, seconds=perf_counter() - t0))
     return results

@@ -2,6 +2,10 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -9,6 +13,7 @@ from minkpi import cli
 from minkpi.verify import CheckResult
 
 S3 = math.sqrt(3.0)
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def run_cli(capsys, argv):
@@ -243,3 +248,102 @@ def test_verify_passes_and_exit_code_tracks_results(capsys):
     all_pass = all(l.startswith("PASS") for l in lines)
     assert code == (0 if all_pass else 1)
     assert all_pass, [l for l in lines if l.startswith("FAIL")]
+
+
+def test_verify_json_through_python_m():
+    # runs without installing: the package's __main__ with src on the path
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    env.pop("MINKPI_SEED", None)
+    proc = subprocess.run(
+        [sys.executable, "-m", "minkpi", "verify", "--format", "json"],
+        env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    payload = json.loads(proc.stdout)
+    assert set(payload) == {"seed", "ok", "checks"}
+    assert payload["seed"] == 0 and payload["ok"] is True
+    assert len(payload["checks"]) == 18
+    for check in payload["checks"]:
+        assert set(check) == {"name", "passed", "detail", "seconds"}
+        assert check["passed"] is True and check["seconds"] >= 0.0
+
+
+def test_verify_json_tracks_failures(monkeypatch, capsys):
+    results = [CheckResult("good", True, "ok", 0.25), CheckResult("bad", False, "off by one")]
+    monkeypatch.setattr(cli.vf, "run_all", lambda seed: results)
+    code, out = run_cli(capsys, ["--seed", "4", "verify", "--format", "json"])
+    assert code == 1
+    assert json.loads(out) == {
+        "seed": 4,
+        "ok": False,
+        "checks": [
+            {"name": "good", "passed": True, "detail": "ok", "seconds": 0.25},
+            {"name": "bad", "passed": False, "detail": "off by one", "seconds": 0.0},
+        ],
+    }
+    code, out = run_cli(capsys, ["--seed", "4", "verify"])
+    assert code == 1
+    assert out == "PASS  good: ok\nFAIL  bad: off by one\nFAILED: 1/2 checks passed (seed 4)\n"
+
+
+@pytest.fixture
+def parser_builds(monkeypatch):
+    """Count build_parser calls made by main, starting from an empty cache."""
+    calls = []
+    real, cached = cli.build_parser, cli._parser
+
+    def counting():
+        calls.append(1)
+        return real()
+
+    monkeypatch.setattr(cli, "build_parser", counting)
+    cached.cache_clear()
+    yield calls
+    cached.cache_clear()
+
+
+def test_main_builds_the_parser_once(parser_builds, capsys):
+    for which in ("1", "2", "3") * 6 + ("1", "2"):
+        assert cli.main(["table", "--which", which]) == 0
+    capsys.readouterr()
+    assert len(parser_builds) == 1
+
+
+def run_sequence(capsys, fixture):
+    argvs = [
+        ["table", "--which", "2"],
+        ["gauge", "--ball", fixture, "--vector", "0", "-1"],
+        ["pi-regular", "--form", "nonsense"],
+        ["radon", "--n", "8"],
+        ["pi-offset", "--shape", "hexagon", "--config", "B", "--offset", "0.25", "--format", "json"],
+        ["table", "--which", "1", "--format", "json"],
+    ]
+    seen = []
+    for argv in argvs:
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        captured = capsys.readouterr()
+        seen.append((code, captured.out, captured.err))
+    return seen
+
+
+def test_reused_parser_matches_fresh_parsers(monkeypatch, capsys, parser_builds, triangle_fixture):
+    reused = run_sequence(capsys, triangle_fixture)
+    assert len(parser_builds) == 1
+    assert [code for code, _, _ in reused] == [0, 0, 2, 0, 0, 0]
+    monkeypatch.setattr(cli, "_parser", cli.build_parser)  # a fresh parser per call
+    fresh = run_sequence(capsys, triangle_fixture)
+    assert len(parser_builds) == 7
+    assert reused == fresh
+
+
+def test_seed_environment_is_read_on_every_call(monkeypatch, capsys, parser_builds):
+    seen = []
+    monkeypatch.setattr(cli.vf, "run_all", lambda seed: seen.append(seed) or [CheckResult("stub", True, "ok")])
+    for raw in ("3", "5"):
+        monkeypatch.setenv("MINKPI_SEED", raw)
+        assert cli.main(["verify"]) == 0
+    capsys.readouterr()
+    assert seen == [3, 5] and len(parser_builds) == 1

@@ -176,6 +176,7 @@ def test_hexagon_bound_tight_on_regular_hexagon():
     bound = inscribed_hexagon_bound(ball, axis=Y_AXIS)  # edge-to-edge axis
     assert bound.half_perimeter == pytest.approx(3.0, abs=1e-12)
     assert bound.unit_side_count == 6
+    assert bound.route == "chord"
 
 
 @pytest.mark.parametrize("radius", [1e-13, 1e-9, 1e-4, 1.0, 1e4, 1e8])
@@ -262,6 +263,7 @@ SHARP_APEX_BALLS = [
 def test_unit_chain_fallback_keeps_four_unit_sides(vertices, center):
     ball = Ball(ConvexPolygon.from_pairs(vertices), Vec2(*center))
     bound = inscribed_hexagon_bound(ball)
+    assert bound.route == "unit-chain"
     assert len(bound.hexagon.vertices) == 6
     assert bound.unit_side_count >= 4
     assert 3.0 - 1e-9 <= bound.half_perimeter <= pi_ball(ball) + 1e-9

@@ -9,7 +9,7 @@ Runs are derandomized, so every run tests the same examples.
 import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from minkpi.birkhoff import is_radon
@@ -80,8 +80,26 @@ def test_pi_ball_is_invariant_under_scaling_and_translation(ball, e, tx, ty):
     assert pi_ball(moved) == pytest.approx(pi_ball(ball), rel=1e-9, abs=0.0)
 
 
+# A chord-offset solve that recomputes the width at the solved offset reads
+# 3.0098 at scale 1 and 3.0552 at scale 10 here; the width there must be c.
+PINNED_CHORD_BALL = Ball(
+    ConvexPolygon.from_pairs(
+        [
+            (-1.0, 0.0),
+            (-0.25881904510252074, -0.9659258262890683),
+            (0.25881904510252074, -0.9659258262890683),
+            (1.0, 0.0),
+            (0.7071067811865476, 0.7071067811865475),
+            (-0.7071067811865476, 0.7071067811865475),
+        ]
+    ),
+    Vec2(0.0, 0.125),
+)
+
+
 @PROPERTY
 @given(ball=mirror_balls(), e=st.floats(min_value=-9.0, max_value=8.0))
+@example(ball=PINNED_CHORD_BALL, e=1.0)
 def test_certificate_is_invariant_under_scaling(ball, e):
     """The hexagon certificate keeps its value, its four unit sides and its
     bracket [3, pi_ball] when the ball is scaled about the origin.
