@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .errors import NotSymmetricBall, ZeroVector
+from .errors import InvalidParameter, NotSymmetricBall, ZeroVector
 from .gauge import Ball, gauge, is_centrally_symmetric
 from .geom2d import Vec2
 
@@ -32,6 +32,8 @@ class OrthoPair:
 
 
 def _require_norm(ball: Ball, tol: float) -> None:
+    if not 0.0 < tol < 1.0:
+        raise InvalidParameter(f"tol must satisfy 0 < tol < 1, got {tol}")
     if not is_centrally_symmetric(ball, max(tol, 1e-9)):
         raise NotSymmetricBall(
             "Birkhoff orthogonality needs a norm: the ball must be centrally symmetric"
@@ -49,7 +51,7 @@ def birkhoff_orthogonal(ball: Ball, x: Vec2, y: Vec2, tol: float = 1e-9) -> bool
 
     ``tol`` is relative: the least gauge on the line may fall short of
     gauge(x) by at most ``tol * gauge(x)``, so the answer does not change when
-    x, y or the ball is scaled.
+    x, y or the ball is scaled; raises ``InvalidParameter`` unless 0 < tol < 1.
     """
     _require_norm(ball, tol)
     if x.is_zero() or y.is_zero():
@@ -65,9 +67,9 @@ def radon_witness(ball: Ball, tol: float = 1e-9) -> Optional[OrthoPair]:
     at x. The scan tests the reverse relation on all 2n such pairs and
     returns the one whose line y + t*x dips furthest below gauge(y),
     measured as the share 1 - min_t gauge(y + t*x) / gauge(y), if that
-    exceeds ``tol``. These pairs are the corners of the orthogonality
-    relation's staircase, so they decide symmetry exactly; the scan is
-    O(n^2). ``None`` means the norm is Radon.
+    exceeds ``tol`` (``InvalidParameter`` unless 0 < tol < 1). These pairs
+    are the corners of the orthogonality relation's staircase, so they decide
+    symmetry exactly; the scan is O(n^2). ``None`` means the norm is Radon.
     """
     _require_norm(ball, tol)
     rel = [Vec2(x, y) for x, y in ball._rel]

@@ -37,7 +37,7 @@ from .offset_shapes import (
     closed_form_pi,
     solve_offset_for_pi,
 )
-from .perimeter import measure_perimeters
+from .perimeter import measure_perimeters, pi_ball
 from .birkhoff import radon_witness
 from .regular_pi import (
     beraha,
@@ -67,7 +67,6 @@ class RunConfig:
     output_format: str = "csv"
     output_path: Optional[str] = None
     seed: int = 0
-    tol: Optional[float] = None
 
 
 def _num(x: float) -> str:
@@ -178,8 +177,7 @@ def _cmd_pi_offset(config: RunConfig, args) -> int:
         raise MinkpiError("either --offset or --solve is required")
     spec = OffsetShapeSpec(shape, axis_config, args.size, args.offset, base=args.base)
     res = closed_form_pi(spec)
-    ball = build_offset_ball(spec)
-    geom = measure_perimeters(ball, ball.shape).ccw / 2.0
+    geom = pi_ball(build_offset_ball(spec))
     if config.output_format == "json":
         payload = {
             "shape": shape.value,
@@ -226,8 +224,7 @@ def _cmd_radon(config: RunConfig, args) -> int:
         ball = _load_ball(args.ball)
     else:
         raise MinkpiError("either --ball or --n is required")
-    tol = config.tol if config.tol is not None else 1e-9
-    witness = radon_witness(ball, tol=tol)
+    witness = radon_witness(ball, tol=args.tol)
     payload = {
         "radon": witness is None,
         "witness": None
@@ -291,7 +288,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("radon", help="test whether a symmetric ball induces a Radon norm")
     p.add_argument("--ball", default=None)
     p.add_argument("--n", type=int, default=None, help="use a regular n-gon instead of a fixture")
-    p.add_argument("--tol", type=float, default=None, help="relative tolerance (default 1e-9)")
+    p.add_argument("--tol", type=float, default=1e-9, help="relative tolerance, 0 < tol < 1 (default 1e-9)")
     _io_flags(p, default_format="json")
 
     p = sub.add_parser("table", help="print a built-in reference table")
@@ -340,7 +337,6 @@ def main(argv: Optional[list[str]] = None) -> int:
             output_format=getattr(args, "format", "csv"),
             output_path=getattr(args, "output", None),
             seed=_resolve_seed(args.seed),
-            tol=getattr(args, "tol", None),
         )
         return COMMANDS[args.command](config, args)
     except MinkpiError as exc:

@@ -120,7 +120,7 @@ class ConvexPolygon:
     The constructor normalizes its input: adjacent duplicates (within 1e-12
     of the largest distance from the first vertex) and collinear middle
     vertices are dropped, then the loop must be strictly counterclockwise or
-    ``NotConvex`` is raised.
+    ``NotConvex`` is raised; an overflowing area raises ``InvalidParameter``.
     """
 
     vertices: tuple[Vec2, ...]
@@ -129,12 +129,14 @@ class ConvexPolygon:
         pts = [v if isinstance(v, Vec2) else Vec2(float(v[0]), float(v[1])) for v in vertices]
         # the duplicate and the collinearity floors are measured from pts[0],
         # so both tests are invariant under translation and scaling
-        extent2 = max(((p.x - pts[0].x) ** 2 + (p.y - pts[0].y) ** 2 for p in pts), default=0.0)
-        pts = _dedupe_adjacent(pts, ALG_TOL * math.sqrt(extent2))
+        extent = max((math.hypot(p.x - pts[0].x, p.y - pts[0].y) for p in pts), default=0.0)
+        pts = _dedupe_adjacent(pts, ALG_TOL * extent)
         if len(pts) < 3:
             raise DegenerateInput("a polygon needs at least 3 distinct vertices")
         area = _signed_area(pts)
-        if abs(area) <= ALG_TOL * extent2:
+        if not math.isfinite(area):
+            raise InvalidParameter("coordinates too large: the polygon's area overflows")
+        if abs(area) <= ALG_TOL * extent * extent:
             raise DegenerateInput("vertices are collinear")
         if area < 0.0:
             raise NotConvex("vertex loop is clockwise")
@@ -358,29 +360,31 @@ def _mirror_directions(rel: _Loop, tol: float) -> Iterator[tuple[float, float]]:
             yield (-dx, -dy) if dx < 0.0 or (dx == 0.0 and dy < 0.0) else (dx, dy)
 
 
-def is_mirror_axis(p: ConvexPolygon, axis: Axis, tol: float = GEOM_TOL) -> bool:
+def is_mirror_axis(p: ConvexPolygon, axis: Axis) -> bool:
     """True when reflecting across ``axis`` maps the vertex loop onto itself.
 
-    ``tol`` is relative to the polygon's extent about ``axis.point``. The walk
-    is anchored at the vertex furthest along the axis direction, or at one of
-    its two edges when that edge is perpendicular to the axis.
+    Vertices must match within ``GEOM_TOL`` of the polygon's extent about
+    ``axis.point``. The walk is anchored at the vertex furthest along the
+    axis direction, or at one of its two edges when that edge is
+    perpendicular to the axis.
     """
     rel = _relative(p.vertices, axis.point)
     dx, dy = axis.direction.x, axis.direction.y
     i = max(range(len(rel)), key=lambda k: rel[k][0] * dx + rel[k][1] * dy)
-    scale = tol * _extent(rel)
+    scale = GEOM_TOL * _extent(rel)
     return any(_mirror_walk(rel, h, dx, dy, scale) for h in (2 * i, 2 * i - 1, 2 * i + 1))
 
 
-def symmetry_axes(p: ConvexPolygon, tol: float = GEOM_TOL) -> list[Axis]:
+def symmetry_axes(p: ConvexPolygon) -> list[Axis]:
     """All mirror axes of ``p``, each once (empty list when there are none).
 
     Every axis runs through the area centroid, which is the returned
-    ``Axis.point``; ``tol`` is relative to the largest vertex distance from it.
+    ``Axis.point``, and is oriented with d.x > 0 or d = (0, 1); vertices must
+    match within ``GEOM_TOL`` of the largest vertex distance from it.
     """
     c = p.centroid()
     rel = _relative(p.vertices, c)
-    return [Axis(c, Vec2(dx, dy)) for dx, dy in _mirror_directions(rel, tol)]
+    return [Axis(c, Vec2(dx, dy)) for dx, dy in _mirror_directions(rel, GEOM_TOL)]
 
 
 def regular_polygon(n: int, circumradius: float, phase: float = 0.0) -> ConvexPolygon:

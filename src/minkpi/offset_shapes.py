@@ -79,6 +79,8 @@ class OffsetShapeSpec:
         if self.size <= 0.0:
             raise InvalidParameter("size must be positive")
         if self.shape is ShapeKind.TRIANGLE:
+            if self.config is not AxisConfig.A:  # its only axis class
+                raise InvalidParameter("the triangle has one axis class: use config A")
             if self.base is None or not (0.0 < self.base < 2.0 * self.size):
                 raise InvalidParameter("triangle base must satisfy 0 < b < 2a")
             h = math.sqrt(self.size**2 - self.base**2 / 4.0)
@@ -230,11 +232,13 @@ def solve_offset_for_pi(
     and the square yield two roots in increasing order (one at the exact
     minimum) and each hexagon config yields one. Raises ``Unreachable`` below
     the shape minimum and ``InvalidParameter`` unless ``size`` is positive and
-    finite and ``target_pi`` is finite.
+    finite and ``target_pi`` is finite, or for the triangle with config B.
     """
     if not (0.0 < size < math.inf and math.isfinite(target_pi)):
         raise InvalidParameter(f"need a positive finite size and a finite target, got {size}, {target_pi}")
     if shape is ShapeKind.TRIANGLE:
+        if config is not AxisConfig.A:
+            raise InvalidParameter("the triangle has one axis class: use config A")
         min_off, min_pi = 2.0 * size / 3.0, 4.5
     else:
         minimum = square_minimum if shape is ShapeKind.SQUARE else hexagon_minimum

@@ -85,31 +85,47 @@ def measure_perimeters(ball: Ball, poly: ConvexPolygon) -> PerimeterReport:
     return PerimeterReport(ccw=ccw, cw=cw, min_sum=lo, max_sum=hi)
 
 
-def shared_axis(ball: Ball, poly: ConvexPolygon, tol: float = GEOM_TOL) -> Optional[Axis]:
+def shared_axis(ball: Ball, poly: ConvexPolygon) -> Optional[Axis]:
     """A mirror axis through the ball center shared by ball shape and polygon.
 
     Returns ``None`` when no such axis exists. The returned ``Axis.point`` is
     the ball center. Candidates are the mirror axes of the ball shape through
-    the center, each checked against ``poly``; ``tol`` is relative to the
-    extent of each shape about the center.
+    the center, each checked against ``poly``; symmetry is judged at
+    ``GEOM_TOL`` relative to the extent of each shape about the center.
     """
-    for dx, dy in _mirror_directions(ball._rel, tol):
+    for dx, dy in _mirror_directions(ball._rel, GEOM_TOL):
         axis = Axis(ball.center, Vec2(dx, dy))
-        if is_mirror_axis(poly, axis, tol):
+        if is_mirror_axis(poly, axis):
             return axis
     return None
 
 
-def pi_ball(ball: Ball, tol: float = GEOM_TOL) -> float:
+def pi_ball(ball: Ball) -> float:
     """Self-measured half-perimeter of the ball.
 
     Well defined only when the shape has a mirror axis through the center
     (then the two directed sums agree); otherwise ``NoSharedAxis`` is raised
-    rather than picking one of the ambiguous directed values. ``tol`` is the
-    axis test's tolerance, relative to the shape's extent about the center.
+    rather than picking one of the ambiguous directed values.
     """
-    _axis_or_raise(ball, None, tol)
+    _ball_axis(ball)  # raises NoSharedAxis
     return measure_perimeters(ball, ball.shape).ccw / 2.0
+
+
+def _ball_axis(ball: Ball) -> tuple[Vec2, float, float]:
+    """The ball's first mirror axis through its center, as (d, lo, hi).
+
+    lo and hi are the least and largest vertex height (w - center) . d; d
+    points along the longer arm, or keeps d.x > 0 or d = (0, 1) when the arms
+    agree within 1e-9 of the extent. Raises ``NoSharedAxis`` without an axis.
+    """
+    rel = ball._rel
+    for dx, dy in _mirror_directions(rel, GEOM_TOL):
+        heights = [x * dx + y * dy for x, y in rel]
+        lo, hi = min(heights), max(heights)
+        if -lo - hi > GEOM_TOL * _extent(rel):  # the arm along -d is longer
+            return Vec2(-dx, -dy), -hi, -lo  # negation is exact
+        return Vec2(dx, dy), lo, hi
+    raise NoSharedAxis("ball has no mirror axis through its center")
 
 
 def _inscribed_length(ball: Ball, curve: Callable[[float], Vec2], segments: int) -> float:
@@ -200,39 +216,19 @@ def _chord_span(ball: Ball, offset: float, d: Vec2, u: Vec2) -> Optional[tuple[f
     return (min(ss), max(ss))
 
 
-def _axis_or_raise(ball: Ball, axis: Optional[Axis], tol: float) -> Axis:
-    if axis is not None:
-        return axis
-    found = shared_axis(ball, ball.shape, tol)
-    if found is None:
-        raise NoSharedAxis("ball has no mirror axis through its center")
-    return found
-
-
-def width_profile(
-    ball: Ball, samples: int, axis: Optional[Axis] = None, tol: float = GEOM_TOL
-) -> WidthProfile:
+def width_profile(ball: Ball, samples: int) -> WidthProfile:
     """Euclidean width perpendicular to the axis at evenly spaced offsets.
 
     Offsets are measured from the ball center along the axis direction and
     cover the full extent of the shape. Convexity makes the profile unimodal.
-    Without ``axis`` the shared axis of ``pi_ball`` is used (its point is the
-    ball center), found with ``tol`` relative to the shape's extent.
+    The axis is the ball's own, oriented as in ``inscribed_hexagon_bound``.
     """
     if samples < 3:
         raise InvalidParameter("need at least 3 samples")
-    axis = _axis_or_raise(ball, axis, tol)
-    d = axis.direction
+    d, lo, hi = _ball_axis(ball)
     u = d.perp()
-    offs = [(v - ball.center).dot(d) for v in ball.shape.vertices]
-    lo, hi = min(offs), max(offs)
-    pts: list[tuple[float, float]] = []
-    for i in range(samples):
-        y = lo + (hi - lo) * i / (samples - 1)
-        span = _chord_span(ball, y, d, u)
-        width = 0.0 if span is None else span[1] - span[0]
-        pts.append((y, width))
-    return WidthProfile(tuple(pts))
+    ys = [lo + (hi - lo) * i / (samples - 1) for i in range(samples)]
+    return WidthProfile(tuple((y, _width_at(ball, y, d, u)) for y in ys))
 
 
 def _width_at(ball: Ball, y: float, d: Vec2, u: Vec2) -> float:
@@ -257,9 +253,7 @@ def _chord_offset(ball: Ball, c: float, d: Vec2, u: Vec2, end: float) -> float:
     return lo
 
 
-def inscribed_hexagon_bound(
-    ball: Ball, axis: Optional[Axis] = None, tol: float = GEOM_TOL
-) -> HexBound:
+def inscribed_hexagon_bound(ball: Ball) -> HexBound:
     """Inscribe the hexagon whose gauge half-perimeter certifies pi_ball >= 3.
 
     The chord through the center perpendicular to the axis has half-length c
@@ -275,21 +269,19 @@ def inscribed_hexagon_bound(
     the centered one among the collinear placements is chosen. For the rare
     balls whose pinned chords cannot reach a collinear placement at all, a
     unit-step chain hexagon is searched instead; it keeps four unit sides
-    and still certifies the bound. Without ``axis`` the shared axis of
-    ``pi_ball`` is used (its point is the ball center), found with ``tol``
-    relative to the shape's extent.
+    and still certifies the bound. The axis is the ball's mirror axis
+    through its center, its direction along the longer arm (``_ball_axis``),
+    so a quarter or half turn of the ball leaves the certificate unchanged.
     """
-    axis = _axis_or_raise(ball, axis, tol)
-    d = axis.direction
+    d, lo, hi = _ball_axis(ball)
     u = Vec2(d.y, -d.x)  # (u, d) is a right-handed frame, so the loop below is ccw
-    offs = [(v - ball.center).dot(d) for v in ball.shape.vertices]
     span0 = _chord_span(ball, 0.0, d, u)
     if span0 is None or span0[1] - span0[0] <= ALG_TOL * _extent(ball._rel):
         raise DegenerateChord("chord through the center has zero length")
     c = 0.5 * (span0[1] - span0[0])
 
-    y_up = _chord_offset(ball, c, d, u, max(offs))
-    y_dn = _chord_offset(ball, c, d, u, min(offs))
+    y_up = _chord_offset(ball, c, d, u, hi)
+    y_dn = _chord_offset(ball, c, d, u, lo)
     w_up = _width_at(ball, y_up, d, u)
     w_dn = _width_at(ball, y_dn, d, u)
     # lateral freedom for the right end of the upper chord and the left end

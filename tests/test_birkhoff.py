@@ -7,7 +7,7 @@ import pytest
 
 from conftest import line_min_by_breakpoints, radon_by_sweep
 from minkpi.birkhoff import _line_min_gauge, birkhoff_orthogonal, is_radon, radon_witness
-from minkpi.errors import NotSymmetricBall, ZeroVector
+from minkpi.errors import InvalidParameter, NotSymmetricBall, ZeroVector
 from minkpi.gauge import Ball, gauge
 from minkpi.geom2d import ConvexPolygon, Vec2, convex_hull, regular_polygon
 
@@ -46,6 +46,18 @@ def test_rejects_asymmetric_ball_and_zero_vectors(equilateral):
         is_radon(tri)
     with pytest.raises(ZeroVector):
         birkhoff_orthogonal(SQUARE, Vec2(0, 0), Vec2(0, 1))
+
+
+@pytest.mark.parametrize("tol", [-1.0, 0.0, 1.0, 2.0, math.nan])
+def test_tolerance_outside_the_open_unit_interval_is_rejected(tol):
+    hexagon = Ball(regular_polygon(6, 1.0, 0.0), Vec2(0, 0))
+    for call in (
+        lambda: radon_witness(hexagon, tol),
+        lambda: is_radon(hexagon, tol),
+        lambda: birkhoff_orthogonal(hexagon, Vec2(1, 0), Vec2(0, 1), tol),
+    ):
+        with pytest.raises(InvalidParameter):
+            call()
 
 
 def test_radon_small_cases():

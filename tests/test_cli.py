@@ -215,6 +215,44 @@ def test_bad_solve_request_is_a_usage_error(capsys, argv):
     run_cli_error(capsys, ["pi-offset", *argv])
 
 
+@pytest.mark.parametrize("tol", ["-1", "0", "1", "2", "nan"])
+def test_radon_tolerance_out_of_range_is_a_usage_error(capsys, tol):
+    line = run_cli_error(capsys, ["radon", "--n", "6", "--tol", tol])
+    assert "0 < tol < 1" in line
+
+
+def test_triangle_config_b_is_a_usage_error(capsys):
+    for tail in (["--offset", "0.5"], ["--solve", "5"]):
+        line = run_cli_error(
+            capsys, ["pi-offset", "--shape", "triangle", "--config", "B", "--size", "1", "--base", "1", *tail]
+        )
+        assert "one axis class" in line
+
+
+def test_overflowing_coordinates_are_a_usage_error(capsys, tmp_path):
+    line = run_cli_error(capsys, ["pi-offset", "--shape", "square", "--size", "1e160", "--offset", "1e159"])
+    assert "overflows" in line
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps({"vertices": [[0.0, 1e200], [-1e200, -1e200], [1e200, -1e200]], "center": [0.0, 0.0]}))
+    line = run_cli_error(capsys, ["gauge", "--ball", str(path), "--vector", "1", "0"])
+    assert "overflows" in line
+
+
+def readme_commands() -> list[list[str]]:
+    # the `minkpi ...` lines of the README's "Command line" block, comments cut
+    text = (SRC.parent / "README.md").read_text(encoding="utf-8")
+    block = text.split("## Command line", 1)[1].split("```", 2)[1]
+    lines = [line.split("#", 1)[0].split() for line in block.splitlines()]
+    return [words[1:] for words in lines if words[:1] == ["minkpi"] and words[1] != "verify"]
+
+
+@pytest.mark.parametrize("argv", readme_commands(), ids=" ".join)
+def test_readme_examples_run(monkeypatch, capsys, argv):
+    monkeypatch.chdir(SRC.parent)  # the fixture paths are relative to the repository root
+    code, out = run_cli(capsys, argv)
+    assert code == 0 and out
+
+
 def test_radon_has_no_directions_flag(capsys):
     with pytest.raises(SystemExit) as err:
         cli.main(["radon", "--n", "10", "--directions", "8"])

@@ -60,6 +60,13 @@ def test_far_translated_polygon_keeps_shape_and_centroid(shift):
     assert (moved.centroid() - t).norm() <= 1e-9
 
 
+def test_polygon_with_overflowing_area_is_rejected():
+    # 1e200 coordinates: the area overflows; 1e150 ones still measure
+    with pytest.raises(InvalidParameter):
+        ConvexPolygon([Vec2(0, 1e200), Vec2(-1e200, -1e200), Vec2(1e200, -1e200)])
+    assert len(ConvexPolygon([Vec2(0, 1e150), Vec2(-1e150, -1e150), Vec2(1e150, -1e150)])) == 3
+
+
 def test_tiny_polygon_is_not_collinear():
     assert len(regular_polygon(5, 1e-8, 0.2)) == 5
 

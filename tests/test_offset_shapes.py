@@ -230,6 +230,11 @@ def test_hexagon_a_cubic_has_three_real_roots():
 def test_spec_validation():
     with pytest.raises(InvalidParameter):
         OffsetShapeSpec(ShapeKind.TRIANGLE, AxisConfig.A, 1.0, 0.1, base=2.5)
+    # the triangle has one axis class; config B would be answered as A
+    with pytest.raises(InvalidParameter):
+        OffsetShapeSpec(ShapeKind.TRIANGLE, AxisConfig.B, 1.0, 0.5, base=1.0)
+    with pytest.raises(InvalidParameter):
+        solve_offset_for_pi(ShapeKind.TRIANGLE, AxisConfig.B, 5.0, 1.0)
     with pytest.raises(InvalidOffset):
         OffsetShapeSpec(ShapeKind.SQUARE, AxisConfig.A, 1.0, 1.5)
     with pytest.raises(InvalidParameter):

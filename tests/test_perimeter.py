@@ -8,7 +8,7 @@ import pytest
 from conftest import gauge_by_bisection
 from minkpi.errors import InvalidParameter, NoConvergence, NoSharedAxis
 from minkpi.gauge import Ball, gauge, symmetrize_hull, symmetrize_intersection
-from minkpi.geom2d import Axis, ConvexPolygon, Vec2, regular_polygon
+from minkpi.geom2d import ConvexPolygon, Vec2, regular_polygon
 from minkpi.perimeter import (
     circle_curve,
     inscribed_hexagon_bound,
@@ -25,7 +25,6 @@ from minkpi.sampling import random_symmetric_ball
 
 S3 = math.sqrt(3.0)
 SQUARE = ConvexPolygon([Vec2(-1, -1), Vec2(1, -1), Vec2(1, 1), Vec2(-1, 1)])
-Y_AXIS = Axis(Vec2(0, 0), Vec2(0, 1))
 
 
 def unit_triangle_ball(apex_offset: float) -> Ball:
@@ -128,21 +127,29 @@ def test_rectify_reports_no_convergence():
 
 
 def test_width_profile_square_constant():
-    prof = width_profile(Ball(SQUARE, Vec2(0, 0)), 9, axis=Y_AXIS)
+    # off center on x = 0, the square's only mirror axis through the center
+    # is the vertical one, across which every width is 2; the longer arm
+    # (1.3, down to the bottom edge) fixes d = (0, -1)
+    ball = Ball(SQUARE, Vec2(0, 0.3))
+    prof = width_profile(ball, 9)
     assert all(w == pytest.approx(2.0, abs=1e-12) for w in prof.widths())
+    assert prof.offsets()[0] == pytest.approx(-0.7) and prof.offsets()[-1] == pytest.approx(1.3)
 
 
 def test_width_profile_triangle_ramp():
+    # one mirror axis; its longer arm (2/3 up to the apex) fixes d = (0, 1)
     ball = unit_triangle_ball(2.0 / 3.0)
-    prof = width_profile(ball, 11, axis=Y_AXIS)
+    prof = width_profile(ball, 11)
     for off, w in prof.samples:
         y = off + ball.center.y  # height above the base
         assert w == pytest.approx(1.0 - y, abs=1e-9)
 
 
 def test_width_profile_hexagon_vertex_axis_is_trapezoid():
+    # vertex 0 is the top vertex, so the first mirror axis is the vertical
+    # vertex-to-vertex one
     ball = Ball(regular_polygon(6, 1.0, math.pi / 2), Vec2(0, 0))
-    prof = width_profile(ball, 41, axis=Y_AXIS)
+    prof = width_profile(ball, 41)
     for y, w in prof.samples:
         expected = S3 if abs(y) <= 0.5 else S3 * 2.0 * (1.0 - abs(y))
         assert w == pytest.approx(expected, abs=1e-9)
@@ -172,8 +179,13 @@ def test_width_profile_unimodal_random():
 
 
 def test_hexagon_bound_tight_on_regular_hexagon():
-    ball = Ball(regular_polygon(6, 1.0, 0.0), Vec2(0, 0))
-    bound = inscribed_hexagon_bound(ball, axis=Y_AXIS)  # edge-to-edge axis
+    # an affine-regular hexagon: after the stretch vertex 0 (at -30 degrees)
+    # lies on no axis, so the midpoint of edge 0 gives the first mirror axis,
+    # the edge-to-edge x axis; a stretch along it keeps pi_ball = 3
+    hexagon = regular_polygon(6, 1.0, -math.pi / 6)
+    ball = Ball(ConvexPolygon([Vec2(2.0 * v.x, v.y) for v in hexagon.vertices]), Vec2(0, 0))
+    assert pi_ball(ball) == pytest.approx(3.0, abs=1e-12)
+    bound = inscribed_hexagon_bound(ball)
     assert bound.half_perimeter == pytest.approx(3.0, abs=1e-12)
     assert bound.unit_side_count == 6
     assert bound.route == "chord"
@@ -228,6 +240,25 @@ def test_hexagon_bound_random_brackets():
         assert 3.0 - 1e-9 <= bound.half_perimeter <= p + 1e-9
         for v in bound.hexagon.vertices:
             assert gauge(ball, v - ball.center) == pytest.approx(1.0, abs=1e-9)
+
+
+QUARTER_AND_HALF_TURNS = [lambda x, y: (-y, x), lambda x, y: (-x, -y), lambda x, y: (y, -x)]
+
+
+def test_certificate_is_invariant_under_exact_rotations():
+    # quarter and half turns are exact in floating point and map the ball's
+    # axis onto the turned ball's axis; oriented by the sign of d.x instead of
+    # by its longer arm, the axis flipped with the turn on balls 41, 108 and
+    # 147 here, and the certificate read another value (up to 0.095 apart)
+    rng = random.Random(0)
+    for _ in range(150):
+        ball = random_symmetric_ball(rng)
+        want = inscribed_hexagon_bound(ball).half_perimeter
+        for turn in QUARTER_AND_HALF_TURNS:
+            shape = ConvexPolygon([Vec2(*turn(v.x, v.y)) for v in ball.shape.vertices])
+            turned = Ball(shape, Vec2(*turn(ball.center.x, ball.center.y)))
+            got = inscribed_hexagon_bound(turned).half_perimeter
+            assert got == pytest.approx(want, rel=1e-12, abs=0.0)
 
 
 # 11-vertex balls with a sharp apex whose chord hexagon is pinned below 3, so

@@ -104,8 +104,11 @@ def test_certificate_is_invariant_under_scaling(ball, e):
     """The hexagon certificate keeps its value, its four unit sides and its
     bracket [3, pi_ball] when the ball is scaled about the origin.
 
-    Translation is left out: a translated ball's axis direction can come out
-    reversed by rounding, and the certificate then reads another valid value.
+    Translation is left out. The axis is oriented by the geometry, but the
+    unit-chain fallback is not translation-safe: moving a ball changes its
+    center-relative coordinates by rounding (about 1e-12 of its size), and
+    the fallback's grid search can then return another valid chain with
+    another value (3.03 against 3.44 on one ball).
     """
     moved = ball.scaled(10.0**e)
     base, bound = inscribed_hexagon_bound(ball), inscribed_hexagon_bound(moved)
