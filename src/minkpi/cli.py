@@ -23,6 +23,7 @@ import math
 import os
 import sys
 from dataclasses import asdict, dataclass
+from time import perf_counter
 from typing import Optional
 
 from . import verify as vf
@@ -236,10 +237,18 @@ def _cmd_radon(config: RunConfig, args) -> int:
 
 
 def _cmd_verify(config: RunConfig, args) -> int:
+    t0 = perf_counter()
     results = vf.run_all(config.seed)
+    seconds = perf_counter() - t0
     ok = all(r.passed for r in results)
     if config.output_format == "json":
-        payload = {"seed": config.seed, "ok": ok, "checks": [asdict(r) for r in results]}
+        payload = {
+            "seed": config.seed,
+            "ok": ok,
+            "seconds": seconds,
+            "workers": vf.worker_count(),
+            "checks": [asdict(r) for r in results],
+        }
         text = json.dumps(payload, indent=2, sort_keys=True)
     else:
         lines = []

@@ -3,14 +3,16 @@
 Each check returns a ``CheckResult`` so the command line front end can print
 one pass/fail line per check and exit nonzero on any failure. The same
 functions back the pytest acceptance module. All randomized checks are
-seeded and deterministic.
+seeded and deterministic; each builds its own ``random.Random`` from the
+seed, so ``run_all`` can run them in separate worker processes.
 """
 
 from __future__ import annotations
 
 import math
+import os
 import random
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field
 from time import perf_counter
 from typing import Callable
 
@@ -31,6 +33,8 @@ class CheckResult:
     passed: bool
     detail: str
     seconds: float = 0.0  # wall time of the check, set by run_all
+    # sample counts and margins, by name; left out of the hash, which a dict has not
+    counts: dict = field(default_factory=dict, hash=False)
 
 
 def _check(name: str, failures: list[str], detail_ok: str) -> CheckResult:
@@ -274,8 +278,8 @@ def criterion_radon_classification() -> CheckResult:
 def criterion_lower_bound(seed: int = 0, count: int = 500) -> CheckResult:
     """9: seeded random axis-symmetric balls all have pi_ball >= 3, hexagon certifies."""
     rng = random.Random(seed)
-    pi_bad = bracket_bad = unit_bad = 0
-    worst = float("inf")
+    pi_bad = bracket_bad = unit_bad = unit_chain = 0
+    worst = margin = float("inf")
     for i in range(count):
         ball = random_symmetric_ball(rng)
         p = pm.pi_ball(ball)
@@ -284,6 +288,8 @@ def criterion_lower_bound(seed: int = 0, count: int = 500) -> CheckResult:
             pi_bad += 1
             continue
         bound = pm.inscribed_hexagon_bound(ball)
+        margin = min(margin, bound.half_perimeter - 3.0)
+        unit_chain += bound.route == "unit-chain"
         if not (3.0 - 1e-9 <= bound.half_perimeter <= p + 1e-9):
             bracket_bad += 1
         if bound.unit_side_count < 4:
@@ -293,7 +299,8 @@ def criterion_lower_bound(seed: int = 0, count: int = 500) -> CheckResult:
         f"bracket violations {bracket_bad}, balls with <4 unit sides {unit_bad}"
     )
     passed = pi_bad == 0 and bracket_bad == 0 and unit_bad == 0
-    return CheckResult("general lower bound", passed, detail)
+    counts = {"balls": count, "unit_chain": unit_chain, "min_pi_ball": worst, "min_margin": margin}
+    return CheckResult("general lower bound", passed, detail, counts=counts)
 
 
 def criterion_unboundedness() -> CheckResult:
@@ -630,16 +637,58 @@ SUITES: list[Callable[..., CheckResult]] = [
 ]
 
 
+# the checks that take the seed; every other check takes no argument
+SEEDED = {
+    criterion_lower_bound,
+    criterion_perimeter_chain,
+    suite_geom2d,
+    suite_gauge,
+    suite_perimeter,
+    suite_offset,
+    suite_birkhoff,
+}
+
+
+def _checks() -> list[tuple[str, Callable[..., CheckResult]]]:
+    """(name prefix, check) for every criterion, then every suite: the ledger order."""
+    return [(f"criterion {label}: ", fn) for label, fn in CRITERIA] + [("", fn) for fn in SUITES]
+
+
+def worker_count() -> int:
+    """Worker processes ``run_all`` uses: one per usable core, at most one per check."""
+    try:
+        cores = len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        cores = os.cpu_count() or 1
+    return min(len(_checks()), cores)
+
+
+def _run_check(index: int, seed: int) -> tuple[str, bool, str, float, dict]:
+    """Run and time check ``index`` of the ledger in a worker process; the
+    result goes back to ``run_all`` as plain data."""
+    prefix, fn = _checks()[index]
+    t0 = perf_counter()
+    res = fn(seed) if fn in SEEDED else fn()
+    return prefix + res.name, res.passed, res.detail, perf_counter() - t0, res.counts
+
+
 def run_all(seed: int = 0) -> list[CheckResult]:
-    """Every acceptance criterion followed by every module invariant suite,
-    each timed with ``perf_counter`` into its ``seconds`` field."""
-    results: list[CheckResult] = []
-    for label, fn in CRITERIA:
-        t0 = perf_counter()
-        res = fn(seed) if fn in (criterion_lower_bound, criterion_perimeter_chain) else fn()
-        results.append(replace(res, name=f"criterion {label}: {res.name}", seconds=perf_counter() - t0))
-    for fn in SUITES:
-        t0 = perf_counter()
-        res = fn() if fn is suite_regular_pi else fn(seed)
-        results.append(replace(res, seconds=perf_counter() - t0))
-    return results
+    """Every acceptance criterion followed by every module invariant suite.
+
+    The checks run in ``worker_count()`` worker processes, all of which have
+    exited when this returns or raises. Each result's ``seconds`` is its
+    check's own wall time in its worker, so with more than one worker the
+    checks' seconds add up to more than the wall time of the call. A check
+    that raises makes this raise the same exception.
+    """
+    # imported here, not at module level: the pool machinery adds about 1.3 MB
+    # to every process that imports this module, as every minkpi command does
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    # forked workers skip a fresh import of minkpi and see this process's
+    # modules as they are; the executor forks them before it starts a thread
+    method = "fork" if "fork" in multiprocessing.get_all_start_methods() else None
+    with ProcessPoolExecutor(worker_count(), mp_context=multiprocessing.get_context(method)) as pool:
+        futures = [pool.submit(_run_check, i, seed) for i in range(len(_checks()))]
+        return [CheckResult(*future.result()) for future in futures]

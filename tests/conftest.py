@@ -1,20 +1,23 @@
 """Shared independent oracles for the test suite.
 
-These deliberately avoid the library's own algorithms: the gauge oracle works
-by bisection on point containment, and the hull oracle by exhaustive support
-tests, so they can arbitrate the fast implementations. The line-minimum
-oracle evaluates the gauge at every breakpoint of t -> gauge(x + t*y), where
-the library uses the support-function identity; the Radon oracle uses it on a
-dense boundary sweep in place of the library's finite pair scan. The mirror
-oracle reflects the whole polygon and matches the two vertex sets in any
-order, where the library walks the vertex loop in lock-step. The offset
-oracle bisects each monotone branch of a closed form, where the library
-solves the quadratic or cubic exactly.
+These deliberately avoid the library's own algorithms or its arithmetic: one
+gauge oracle works by bisection on point containment, the other takes the
+largest facet functional in exact rational arithmetic, and the hull oracle
+works by exhaustive support tests, so they can arbitrate the fast
+implementations. The line-minimum oracle evaluates the gauge at every
+breakpoint of t -> gauge(x + t*y), where the library uses the
+support-function identity; the Radon oracle uses it on a dense boundary
+sweep in place of the library's finite pair scan. The mirror oracle reflects
+the whole polygon and matches the two vertex sets in any order, where the
+library walks the vertex loop in lock-step. The offset oracle bisects each
+monotone branch of a closed form, where the library solves the quadratic or
+cubic exactly.
 """
 
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 
 import pytest
 
@@ -38,6 +41,21 @@ def gauge_by_bisection(ball, v: Vec2, iters: int = 200) -> float:
         else:
             hi = mid
     return 1.0 / (0.5 * (lo + hi))
+
+
+def gauge_exact(ball, v: Vec2) -> float:
+    """Gauge as the largest facet functional, computed in ``Fraction`` from the
+    float coordinates and rounded once: edge (a, b) maps v to
+    cross(v, b - a) / cross(a - center, b - a)."""
+    cx, cy = Fraction(ball.center.x), Fraction(ball.center.y)
+    vx, vy = Fraction(v.x), Fraction(v.y)
+    vs = ball.shape.vertices
+    best = Fraction(0)
+    for a, b in zip(vs, vs[1:] + vs[:1]):
+        ax, ay = Fraction(a.x), Fraction(a.y)
+        ex, ey = Fraction(b.x) - ax, Fraction(b.y) - ay
+        best = max(best, (vx * ey - vy * ex) / ((ax - cx) * ey - (ay - cy) * ex))
+    return float(best)
 
 
 def line_min_by_breakpoints(ball, x: Vec2, y: Vec2) -> float:

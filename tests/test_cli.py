@@ -298,12 +298,19 @@ def test_verify_json_through_python_m():
     )
     assert proc.returncode == 0, proc.stderr
     payload = json.loads(proc.stdout)
-    assert set(payload) == {"seed", "ok", "checks"}
+    assert set(payload) == {"seed", "ok", "seconds", "workers", "checks"}
     assert payload["seed"] == 0 and payload["ok"] is True
+    assert payload["seconds"] > 0.0 and payload["workers"] == cli.vf.worker_count()
     assert len(payload["checks"]) == 18
     for check in payload["checks"]:
-        assert set(check) == {"name", "passed", "detail", "seconds"}
+        assert set(check) == {"name", "passed", "detail", "seconds", "counts"}
         assert check["passed"] is True and check["seconds"] >= 0.0
+    counts = {c["name"]: c["counts"] for c in payload["checks"] if c["counts"]}
+    assert list(counts) == ["criterion 9: general lower bound"]
+    sweep = counts["criterion 9: general lower bound"]
+    assert set(sweep) == {"balls", "unit_chain", "min_pi_ball", "min_margin"}
+    assert sweep["balls"] == 500 and 0 <= sweep["unit_chain"] <= 500
+    assert sweep["min_pi_ball"] >= 3.0 and sweep["min_margin"] >= -1e-9
 
 
 def test_verify_json_tracks_failures(monkeypatch, capsys):
@@ -311,12 +318,15 @@ def test_verify_json_tracks_failures(monkeypatch, capsys):
     monkeypatch.setattr(cli.vf, "run_all", lambda seed: results)
     code, out = run_cli(capsys, ["--seed", "4", "verify", "--format", "json"])
     assert code == 1
-    assert json.loads(out) == {
+    payload = json.loads(out)
+    assert payload.pop("seconds") >= 0.0  # the wall time of run_all
+    assert payload == {
         "seed": 4,
         "ok": False,
+        "workers": cli.vf.worker_count(),
         "checks": [
-            {"name": "good", "passed": True, "detail": "ok", "seconds": 0.25},
-            {"name": "bad", "passed": False, "detail": "off by one", "seconds": 0.0},
+            {"name": "good", "passed": True, "detail": "ok", "seconds": 0.25, "counts": {}},
+            {"name": "bad", "passed": False, "detail": "off by one", "seconds": 0.0, "counts": {}},
         ],
     }
     code, out = run_cli(capsys, ["--seed", "4", "verify"])

@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from conftest import gauge_by_bisection
+from conftest import gauge_exact
 from minkpi.errors import CenterNotInterior, NotConvex
 from minkpi.gauge import (
     Ball,
@@ -33,21 +33,22 @@ def test_equilateral_gauge_is_asymmetric(equilateral):
     ball = Ball(equilateral, Vec2(0, 0))  # centroid
     assert gauge(ball, Vec2(0, 1)) == pytest.approx(1.0, abs=1e-12)
     assert gauge(ball, Vec2(0, -1)) == pytest.approx(2.0, abs=1e-12)
-    # cross-check against the containment-bisection oracle
+    # cross-check against the exact facet-functional oracle
     for v in (Vec2(0, 1), Vec2(0, -1), Vec2(0.3, -0.8), Vec2(-1.2, 0.4)):
-        assert gauge(ball, v) == pytest.approx(gauge_by_bisection(ball, v), rel=1e-9)
+        assert gauge(ball, v) == pytest.approx(gauge_exact(ball, v), rel=1e-12)
 
 
-def test_gauge_matches_bisection_oracle_on_random_balls():
-    # the largest facet functional against containment bisection, on random
-    # convex balls and on mirror-symmetric balls with an off-center center
+def test_gauge_matches_exact_oracle_on_random_balls():
+    # the float facet functionals against the same maximum taken in exact
+    # rationals, on random convex balls and on mirror-symmetric balls with an
+    # off-center center; the float error seen is below 4e-15 relative
     rng = random.Random(53)
     balls = [random_ball(rng) for _ in range(10)] + [random_symmetric_ball(rng) for _ in range(10)]
     for ball in balls:
         for _ in range(20):
             a, r = rng.uniform(0.0, 2.0 * math.pi), rng.uniform(0.1, 3.0)
             v = Vec2(r * math.cos(a), r * math.sin(a))
-            assert gauge(ball, v) == pytest.approx(gauge_by_bisection(ball, v), rel=1e-9)
+            assert gauge(ball, v) == pytest.approx(gauge_exact(ball, v), rel=1e-12)
 
 
 def test_offset_triangle_directed_side_gauges():
