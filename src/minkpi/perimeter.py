@@ -197,7 +197,7 @@ def circle_curve(center: Vec2, radius: float) -> Callable[[float], Vec2]:
 def _chord_span(ball: Ball, offset: float, d: Vec2, u: Vec2) -> Optional[tuple[float, float]]:
     # span of the shape on the line center + offset*d + s*u, as (s_min, s_max)
     base = ball.center + d * offset
-    eps = ALG_TOL * max(abs(v.x) + abs(v.y) for v in ball.shape.vertices)
+    eps = ALG_TOL * max(abs(x) + abs(y) for x, y in ball._rel)  # relative: translation-safe
     ss: list[float] = []
     for a, b in ball.shape.edges():
         fa = (a - base).dot(d)
@@ -236,21 +236,26 @@ def _width_at(ball: Ball, y: float, d: Vec2, u: Vec2) -> float:
     return 0.0 if span is None else span[1] - span[0]
 
 
-def _chord_offset(ball: Ball, c: float, d: Vec2, u: Vec2, end: float) -> float:
-    # largest |offset| toward `end` where the width is still >= c; by
-    # unimodality the predicate width(y) >= c holds exactly on [0, that offset].
-    # The end face gets a whisker of slack so that a face whose length equals c
-    # up to trigonometric noise is recognized as the face case.
-    if _width_at(ball, end, d, u) >= c - 1e-11 * c:
-        return end
-    lo, hi = 0.0, end
-    for _ in range(80):
-        mid = 0.5 * (lo + hi)
-        if _width_at(ball, mid, d, u) >= c:
-            lo = mid
-        else:
-            hi = mid
-    return lo
+def _chord_offset(ball: Ball, c: float, d: Vec2, u: Vec2, end: float) -> tuple[float, float]:
+    # (offset, width) at the largest |offset| toward `end` where the width is
+    # still >= c. The width is concave in the offset, 2c at 0, and linear
+    # between vertex heights, so the walk over those heights stops at the
+    # first one where the width drops below c and solves that linear piece
+    # for width = c. The end face gets a whisker of slack so that a face whose
+    # length equals c up to trigonometric noise is recognized as the face case.
+    w_end = _width_at(ball, end, d, u)
+    if w_end >= c - 1e-11 * c:
+        return end, w_end
+    knots = {h for h in (x * d.x + y * d.y for x, y in ball._rel) if 0.0 < h / end < 1.0}
+    h0, w0 = 0.0, 2.0 * c
+    for h in sorted(knots, key=abs):
+        w = _width_at(ball, h, d, u)
+        if w < c:
+            break
+        h0, w0 = h, w
+    else:
+        h, w = end, w_end
+    return h0 + (h - h0) * (w0 - c) / (w0 - w), c
 
 
 def inscribed_hexagon_bound(ball: Ball) -> HexBound:
@@ -280,10 +285,8 @@ def inscribed_hexagon_bound(ball: Ball) -> HexBound:
         raise DegenerateChord("chord through the center has zero length")
     c = 0.5 * (span0[1] - span0[0])
 
-    y_up = _chord_offset(ball, c, d, u, hi)
-    y_dn = _chord_offset(ball, c, d, u, lo)
-    w_up = _width_at(ball, y_up, d, u)
-    w_dn = _width_at(ball, y_dn, d, u)
+    y_up, w_up = _chord_offset(ball, c, d, u, hi)
+    y_dn, w_dn = _chord_offset(ball, c, d, u, lo)
     # lateral freedom for the right end of the upper chord and the left end
     # of the lower chord (mirror symmetry centers each face on the axis)
     a_lo, a_hi = c - 0.5 * w_up, 0.5 * w_up

@@ -37,10 +37,9 @@ class CheckResult:
     counts: dict = field(default_factory=dict, hash=False)
 
 
-def _check(name: str, failures: list[str], detail_ok: str) -> CheckResult:
-    if failures:
-        return CheckResult(name, False, "; ".join(failures[:4]))
-    return CheckResult(name, True, detail_ok)
+def _check(name: str, failures: list[str], detail_ok: str, counts: dict | None = None) -> CheckResult:
+    detail = "; ".join(failures[:4]) if failures else detail_ok
+    return CheckResult(name, not failures, detail, counts=counts or {})
 
 
 # the reference half-perimeter table for n = 3..10 (numeric column)
@@ -315,12 +314,21 @@ def criterion_perimeter_chain(seed: int = 0, count: int = 200) -> CheckResult:
     rng = random.Random(seed + 1)
     bad = []
     tol = 1e-9
+    residual = 0.0  # the worst excess over the chain's inequalities and equalities
     for i in range(count):
         ball = random_symmetric_ball(rng)
         poly = random_symmetric_polygon(rng, 6, 40)
         rep = pm.measure_perimeters(ball, poly)
         mu_hull = pm.measure_perimeters(symmetrize_hull(ball), poly).ccw
         mu_int = pm.measure_perimeters(symmetrize_intersection(ball), poly).ccw
+        residual = max(
+            residual,
+            mu_hull - rep.min_sum,
+            rep.min_sum - min(rep.ccw, rep.cw),
+            max(rep.ccw, rep.cw) - rep.max_sum,
+            abs(rep.max_sum - mu_int),
+            abs(rep.ccw - rep.cw),
+        )
         chain = (
             mu_hull <= rep.min_sum + tol
             and rep.min_sum <= min(rep.ccw, rep.cw) + tol
@@ -331,7 +339,8 @@ def criterion_perimeter_chain(seed: int = 0, count: int = 200) -> CheckResult:
             bad.append(f"pair {i}: chain broken")
         if abs(rep.ccw - rep.cw) > tol:
             bad.append(f"pair {i}: ccw != cw")
-    return _check("perimeter chain", bad, f"{count} pairs satisfy the sandwich inequalities")
+    counts = {"pairs": count, "max_residual": residual}
+    return _check("perimeter chain", bad, f"{count} pairs satisfy the sandwich inequalities", counts)
 
 
 def criterion_golab_range() -> CheckResult:
@@ -430,10 +439,13 @@ def suite_gauge(seed: int = 0, triangle_count: int = 10_000) -> CheckResult:
 def suite_perimeter(seed: int = 0, width_count: int = 1000) -> CheckResult:
     rng = random.Random(seed + 4)
     bad = []
+    samples = 21
+    thinnest = float("inf")  # the smallest interior width over the ball's extent
     for i in range(width_count):
         ball = random_symmetric_ball(rng, 6, 40)
-        prof = pm.width_profile(ball, 21)
+        prof = pm.width_profile(ball, samples)
         widths = prof.widths()
+        thinnest = min(thinnest, min(widths[1:-1]) / g2._extent(ball._rel))
         if widths[0] < -1e-12 or any(w <= 0.0 for w in widths[1:-1]):
             bad.append(f"width positivity {i}")
         rising = True
@@ -471,7 +483,8 @@ def suite_perimeter(seed: int = 0, width_count: int = 1000) -> CheckResult:
             > pm.measure_perimeters(ball, outer).ccw + 1e-9
         ):
             bad.append(f"inscription monotonicity {i}")
-    return _check("perimeter invariants", bad, "widths unimodal, axis equality, inscription")
+    counts = {"profiles": width_count, "samples": samples, "min_interior_width": thinnest}
+    return _check("perimeter invariants", bad, "widths unimodal, axis equality, inscription", counts)
 
 
 def suite_regular_pi() -> CheckResult:
@@ -663,6 +676,18 @@ def worker_count() -> int:
     return min(len(_checks()), cores)
 
 
+# the slowest checks, submitted to the pool first so that none of them starts
+# last; the other checks follow in ledger order
+SLOWEST_FIRST = (suite_perimeter, criterion_lower_bound, criterion_perimeter_chain)
+
+
+def _submission_order() -> list[int]:
+    """Ledger indices in the order ``run_all`` submits them to its pool."""
+    fns = [fn for _, fn in _checks()]
+    first = [fns.index(fn) for fn in SLOWEST_FIRST if fn in fns]
+    return first + [i for i in range(len(fns)) if i not in first]
+
+
 def _run_check(index: int, seed: int) -> tuple[str, bool, str, float, dict]:
     """Run and time check ``index`` of the ledger in a worker process; the
     result goes back to ``run_all`` as plain data."""
@@ -676,10 +701,11 @@ def run_all(seed: int = 0) -> list[CheckResult]:
     """Every acceptance criterion followed by every module invariant suite.
 
     The checks run in ``worker_count()`` worker processes, all of which have
-    exited when this returns or raises. Each result's ``seconds`` is its
-    check's own wall time in its worker, so with more than one worker the
-    checks' seconds add up to more than the wall time of the call. A check
-    that raises makes this raise the same exception.
+    exited when this returns or raises. The ``SLOWEST_FIRST`` checks are
+    submitted first; the results come back in ledger order. Each result's
+    ``seconds`` is its check's own wall time in its worker, so with more than
+    one worker the checks' seconds add up to more than the wall time of the
+    call. A check that raises makes this raise the same exception.
     """
     # imported here, not at module level: the pool machinery adds about 1.3 MB
     # to every process that imports this module, as every minkpi command does
@@ -690,5 +716,5 @@ def run_all(seed: int = 0) -> list[CheckResult]:
     # modules as they are; the executor forks them before it starts a thread
     method = "fork" if "fork" in multiprocessing.get_all_start_methods() else None
     with ProcessPoolExecutor(worker_count(), mp_context=multiprocessing.get_context(method)) as pool:
-        futures = [pool.submit(_run_check, i, seed) for i in range(len(_checks()))]
-        return [CheckResult(*future.result()) for future in futures]
+        futures = {i: pool.submit(_run_check, i, seed) for i in _submission_order()}
+        return [CheckResult(*futures[i].result()) for i in range(len(futures))]

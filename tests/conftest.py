@@ -11,7 +11,9 @@ sweep in place of the library's finite pair scan. The mirror oracle reflects
 the whole polygon and matches the two vertex sets in any order, where the
 library walks the vertex loop in lock-step. The offset oracle bisects each
 monotone branch of a closed form, where the library solves the quadratic or
-cubic exactly.
+cubic exactly. The chord-offset oracle bisects on the width of the chord at
+each offset, where the library walks the vertex heights and solves one linear
+piece.
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ import pytest
 from minkpi import offset_shapes
 from minkpi.gauge import gauge
 from minkpi.geom2d import Axis, ConvexPolygon, Vec2, reflect, vertex_sets_equal
+from minkpi.perimeter import _width_at
 
 
 def gauge_by_bisection(ball, v: Vec2, iters: int = 200) -> float:
@@ -56,6 +59,23 @@ def gauge_exact(ball, v: Vec2) -> float:
         ex, ey = Fraction(b.x) - ax, Fraction(b.y) - ay
         best = max(best, (vx * ey - vy * ex) / ((ax - cx) * ey - (ay - cy) * ex))
     return float(best)
+
+
+def chord_offset_by_bisection(ball, c: float, d: Vec2, u: Vec2, end: float) -> float:
+    """Largest |offset| toward ``end`` where the chord perpendicular to ``d``
+    is still at least ``c`` long, by bisection on that predicate; the width is
+    unimodal along the axis, so the predicate holds on [0, that offset]. An end
+    face within 1e-11 * c of ``c`` counts as long enough."""
+    if _width_at(ball, end, d, u) >= c - 1e-11 * c:
+        return end
+    lo, hi = 0.0, end
+    for _ in range(80):
+        mid = 0.5 * (lo + hi)
+        if _width_at(ball, mid, d, u) >= c:
+            lo = mid
+        else:
+            hi = mid
+    return lo
 
 
 def line_min_by_breakpoints(ball, x: Vec2, y: Vec2) -> float:

@@ -306,11 +306,22 @@ def test_verify_json_through_python_m():
         assert set(check) == {"name", "passed", "detail", "seconds", "counts"}
         assert check["passed"] is True and check["seconds"] >= 0.0
     counts = {c["name"]: c["counts"] for c in payload["checks"] if c["counts"]}
-    assert list(counts) == ["criterion 9: general lower bound"]
+    assert list(counts) == [
+        "criterion 9: general lower bound",
+        "criterion 11: perimeter chain",
+        "perimeter invariants",
+    ]
     sweep = counts["criterion 9: general lower bound"]
     assert set(sweep) == {"balls", "unit_chain", "min_pi_ball", "min_margin"}
     assert sweep["balls"] == 500 and 0 <= sweep["unit_chain"] <= 500
     assert sweep["min_pi_ball"] >= 3.0 and sweep["min_margin"] >= -1e-9
+    chain = counts["criterion 11: perimeter chain"]
+    assert set(chain) == {"pairs", "max_residual"}
+    assert chain["pairs"] == 200 and 0.0 <= chain["max_residual"] <= 1e-9
+    widths = counts["perimeter invariants"]
+    assert set(widths) == {"profiles", "samples", "min_interior_width"}
+    assert widths["profiles"] == 1000 and widths["samples"] == 21
+    assert 0.0 < widths["min_interior_width"] <= 2.0  # a width is at most twice the extent
 
 
 def test_verify_json_tracks_failures(monkeypatch, capsys):

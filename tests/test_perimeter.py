@@ -5,10 +5,11 @@ import random
 
 import pytest
 
-from conftest import gauge_by_bisection
+from conftest import chord_offset_by_bisection, gauge_by_bisection
+from minkpi import perimeter
 from minkpi.errors import InvalidParameter, NoConvergence, NoSharedAxis
 from minkpi.gauge import Ball, gauge, symmetrize_hull, symmetrize_intersection
-from minkpi.geom2d import ConvexPolygon, Vec2, regular_polygon
+from minkpi.geom2d import ConvexPolygon, Vec2, _extent, regular_polygon
 from minkpi.perimeter import (
     circle_curve,
     inscribed_hexagon_bound,
@@ -18,8 +19,12 @@ from minkpi.perimeter import (
     rectify,
     shared_axis,
     width_profile,
+    _ball_axis,
+    _chord_offset,
+    _chord_span,
     _inscribed_length,
     _unit_chain_bound,
+    _width_at,
 )
 from minkpi.sampling import random_symmetric_ball
 
@@ -240,6 +245,50 @@ def test_hexagon_bound_random_brackets():
         assert 3.0 - 1e-9 <= bound.half_perimeter <= p + 1e-9
         for v in bound.hexagon.vertices:
             assert gauge(ball, v - ball.center) == pytest.approx(1.0, abs=1e-9)
+
+
+def test_chord_offsets_match_bisection_oracle():
+    # the 500 criterion-9 balls at seed 0, toward both axis ends: the walk over
+    # the vertex heights lands where the bisection does, and returns width c
+    # after its linear solve and the end face's own width in the face case
+    rng = random.Random(0)
+    faces = solves = 0
+    for _ in range(500):
+        ball = random_symmetric_ball(rng)
+        d, lo, hi = _ball_axis(ball)
+        u = Vec2(d.y, -d.x)
+        left, right = _chord_span(ball, 0.0, d, u)
+        c = 0.5 * (right - left)
+        tol = 1e-12 * _extent(ball._rel)
+        for end in (hi, lo):
+            y, w = _chord_offset(ball, c, d, u, end)
+            assert abs(y - chord_offset_by_bisection(ball, c, d, u, end)) <= tol
+            if y == end:
+                faces += 1
+                assert w == _width_at(ball, end, d, u)
+            else:
+                solves += 1
+                assert w == c
+    assert faces > 0 and solves > 0
+
+
+def test_hexagon_bound_evaluates_each_width_at_most_once_per_vertex(monkeypatch):
+    # the width is read at the two axis ends and at most once per vertex
+    # height; the 80-step bisection read it about 165 times a ball
+    width_at, calls = perimeter._width_at, []
+
+    def counted(*args):
+        calls.append(args)
+        return width_at(*args)
+
+    monkeypatch.setattr(perimeter, "_width_at", counted)
+    rng = random.Random(0)
+    balls = [random_symmetric_ball(rng) for _ in range(100)]
+    balls.append(Ball(regular_polygon(64, 1.0, 0.0), Vec2(0, 0)))
+    for ball in balls:
+        calls.clear()
+        inscribed_hexagon_bound(ball)
+        assert 2 <= len(calls) <= 2 * len(ball._rel) + 3
 
 
 QUARTER_AND_HALF_TURNS = [lambda x, y: (-y, x), lambda x, y: (-x, -y), lambda x, y: (y, -x)]

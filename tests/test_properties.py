@@ -14,8 +14,8 @@ from hypothesis import strategies as st
 
 from minkpi.birkhoff import is_radon
 from minkpi.gauge import Ball, gauge
-from minkpi.geom2d import ConvexPolygon, Vec2, convex_hull, regular_polygon
-from minkpi.perimeter import inscribed_hexagon_bound, pi_ball
+from minkpi.geom2d import ConvexPolygon, Vec2, _extent, convex_hull, regular_polygon
+from minkpi.perimeter import inscribed_hexagon_bound, pi_ball, width_profile
 
 PROPERTY = settings(derandomize=True, deadline=None, max_examples=60)
 
@@ -78,6 +78,41 @@ def test_pi_ball_is_invariant_under_scaling_and_translation(ball, e, tx, ty):
     r = 10.0**e
     moved = ball.scaled(r).translated(Vec2(tx * 1e4 * r, ty * 1e4 * r))
     assert pi_ball(moved) == pytest.approx(pi_ball(ball), rel=1e-9, abs=0.0)
+
+
+# Shifted by (1e7, 1e7), this ball's sample at offset 2.68822 lies 1.8e-5 from
+# a vertex height; a chord floor taken from the absolute coordinates (2e-5
+# there) counted that vertex as on the chord, and the width moved by 5e-5 of
+# the extent.
+PINNED_WIDTH_BALL = Ball(
+    ConvexPolygon.from_pairs(
+        [
+            (-1.8938353736607385, 0.6615305238991325),
+            (-1.4036751272715717, -1.2073757510050274),
+            (-0.6888504765253552, -1.3760646986727947),
+            (0.6888504765253552, -1.3760646986727947),
+            (1.4036751272715717, -1.2073757510050274),
+            (1.8938353736607385, 0.6615305238991325),
+            (0.5000926134245641, 1.8966955850405198),
+            (0.0, 1.9973538662647154),
+            (-0.5000926134245641, 1.8966955850405198),
+        ]
+    ),
+    Vec2(0.0, 1.4808240119470795),
+)
+
+
+@PROPERTY
+@given(ball=mirror_balls(), e=exponents, tx=units, ty=units)
+@example(ball=PINNED_WIDTH_BALL, e=0.0, tx=1.0, ty=1.0)
+def test_width_profile_is_invariant_under_scaling_and_translation(ball, e, tx, ty):
+    # translations up to 1e7 times the ball's size move every sample offset
+    # and width by less than 1e-7 of the extent
+    r = 10.0**e
+    moved = ball.scaled(r).translated(Vec2(tx * 1e7 * r, ty * 1e7 * r))
+    tol = 1e-7 * _extent(ball._rel)
+    for (y0, w0), (y1, w1) in zip(width_profile(ball, 21).samples, width_profile(moved, 21).samples):
+        assert abs(y1 / r - y0) <= tol and abs(w1 / r - w0) <= tol
 
 
 # A chord-offset solve that recomputes the width at the solved offset reads

@@ -2,6 +2,7 @@
 
 import multiprocessing
 import time
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
 
 import pytest
@@ -41,13 +42,27 @@ def checks(monkeypatch):
     return install
 
 
-def test_results_come_back_in_ledger_order_with_labels(checks):
+@pytest.fixture
+def submitted(monkeypatch):
+    """The ledger indices run_all submits to its pool, in submission order."""
+    indices, submit = [], ProcessPoolExecutor.submit
+
+    def recording(self, fn, *args, **kwargs):
+        indices.append(args[0])
+        return submit(self, fn, *args, **kwargs)
+
+    monkeypatch.setattr(ProcessPoolExecutor, "submit", recording)
+    return indices
+
+
+def test_results_come_back_in_ledger_order_with_labels(checks, submitted):
     # the first check finishes last, so completion order differs from ledger order
     checks(
         [("1", stub("slow", delay=0.3)), ("2", stub("fast")), ("10", seeded_stub)],
         [stub("suite a"), stub("suite b")],
     )
     results = vf.run_all(7)
+    assert submitted == [0, 1, 2, 3, 4]  # no stub is among the slowest checks
     assert [r.name for r in results] == [
         "criterion 1: slow",
         "criterion 2: fast",
@@ -59,6 +74,25 @@ def test_results_come_back_in_ledger_order_with_labels(checks):
     assert results[0].counts == {"runs": 1} and results[2].counts == {}
     assert results[0].seconds >= 0.3 > results[1].seconds
     assert len(set(results)) == 5  # results stay hashable with a counts dict
+    assert multiprocessing.active_children() == []
+
+
+def test_slowest_checks_are_submitted_first():
+    order = vf._submission_order()
+    fns = [fn for _, fn in vf._checks()]
+    assert sorted(order) == list(range(18))
+    assert fns[order[0]] is vf.suite_perimeter
+    assert [fns[i] for i in order[:3]] == list(vf.SLOWEST_FIRST)
+    assert order[3:] == sorted(order[3:])  # the rest in ledger order
+
+
+def test_slow_check_submitted_first_still_reports_in_ledger_order(checks, submitted, monkeypatch):
+    slow = stub("slow", delay=0.3)
+    checks([("1", stub("a")), ("2", stub("b"))], [slow])
+    monkeypatch.setattr(vf, "SLOWEST_FIRST", (slow,))
+    results = vf.run_all(0)
+    assert submitted == [2, 0, 1]
+    assert [r.name for r in results] == ["criterion 1: a", "criterion 2: b", "slow"]
     assert multiprocessing.active_children() == []
 
 
