@@ -222,13 +222,40 @@ def width_profile(ball: Ball, samples: int) -> WidthProfile:
     Offsets are measured from the ball center along the axis direction and
     cover the full extent of the shape. Convexity makes the profile unimodal.
     The axis is the ball's own, oriented as in ``inscribed_hexagon_bound``.
+    The vertices relative to the center are projected once onto the axis
+    frame, and every sample reads its chord from those floats.
     """
     if samples < 3:
         raise InvalidParameter("need at least 3 samples")
     d, lo, hi = _ball_axis(ball)
-    u = d.perp()
-    ys = [lo + (hi - lo) * i / (samples - 1) for i in range(samples)]
-    return WidthProfile(tuple((y, _width_at(ball, y, d, u)) for y in ys))
+    dx, dy = d.x, d.y
+    rel = ball._rel
+    eps = ALG_TOL * max(abs(x) + abs(y) for x, y in rel)  # as in _chord_span
+    # each vertex as (height along d, abscissa along u = d.perp())
+    hs = [(x * dx + y * dy, y * dx - x * dy) for x, y in rel]
+    edges = list(zip(hs, hs[1:] + hs[:1]))
+    out = []
+    for i in range(samples):
+        y = lo + (hi - lo) * i / (samples - 1)
+        s_lo, s_hi = math.inf, -math.inf
+        # _chord_span's rules: a vertex within eps of the line counts (so an
+        # edge lying on it gives both ends, each as the start of its own
+        # edge), and an edge that strictly crosses it is interpolated
+        for (ha, sa), (hb, sb) in edges:
+            fa = ha - y
+            if abs(fa) <= eps:
+                s = sa
+            else:
+                fb = hb - y
+                if (fa > 0.0) == (fb > 0.0) or abs(fb) <= eps:
+                    continue
+                s = sa + (sb - sa) * (fa / (fa - fb))
+            if s < s_lo:
+                s_lo = s
+            if s > s_hi:
+                s_hi = s
+        out.append((y, s_hi - s_lo if s_lo <= s_hi else 0.0))
+    return WidthProfile(tuple(out))
 
 
 def _width_at(ball: Ball, y: float, d: Vec2, u: Vec2) -> float:

@@ -99,13 +99,17 @@ def criterion_form_equivalence() -> CheckResult:
 def criterion_geometry_algebra() -> CheckResult:
     """3: geometric self-measurement matches the closed form within 1e-9 for n=3..60."""
     bad = []
+    residual = 0.0  # the worst |pi_ball - closed form|
     for n in range(3, 61):
         ball = Ball(g2.regular_polygon(n, 1.0, math.pi / (2 * n)), Vec2(0.0, 0.0))
         geom = pm.pi_ball(ball)
         alg = rp.pi_n_closed(n)
-        if abs(geom - alg) > 1e-9:
+        err = abs(geom - alg)
+        residual = max(residual, err)
+        if err > 1e-9:
             bad.append(f"n={n}: |{geom}-{alg}|")
-    return _check("geometry vs algebra", bad, "pi_ball = closed form within 1e-9 for n=3..60")
+    counts = {"max_residual": residual}
+    return _check("geometry vs algebra", bad, "pi_ball = closed form within 1e-9 for n=3..60", counts)
 
 
 def criterion_family_ranges() -> CheckResult:
@@ -469,9 +473,8 @@ def suite_perimeter(seed: int = 0, width_count: int = 1000) -> CheckResult:
         if abs(rep_sym.min_sum - rep_sym.max_sum) > 1e-9:
             bad.append(f"symmetric min=max {i}")
         scale = rng.uniform(0.3, 4.0)
-        if abs(pm.pi_ball(ball.scaled(scale)) - pm.pi_ball(ball)) > 1e-10 * max(
-            1.0, pm.pi_ball(ball)
-        ):
+        pi = pm.pi_ball(ball)
+        if abs(pm.pi_ball(ball.scaled(scale)) - pi) > 1e-10 * max(1.0, pi):
             bad.append(f"scale invariance {i}")
     for i in range(30):  # inscription monotonicity on shrunken copies
         ball = random_symmetric_ball(rng)

@@ -13,7 +13,9 @@ library walks the vertex loop in lock-step. The offset oracle bisects each
 monotone branch of a closed form, where the library solves the quadratic or
 cubic exactly. The chord-offset oracle bisects on the width of the chord at
 each offset, where the library walks the vertex heights and solves one linear
-piece.
+piece. The chord-width oracle cuts the polygon with the line in exact
+rational arithmetic, with no tolerance, where the library works in floats and
+counts vertices within a small band of the line as on it.
 """
 
 from __future__ import annotations
@@ -76,6 +78,26 @@ def chord_offset_by_bisection(ball, c: float, d: Vec2, u: Vec2, end: float) -> f
         else:
             hi = mid
     return lo
+
+
+def chord_width_exact(ball, d: Vec2, y: float) -> float:
+    """Width of the polygon ``ball._rel`` on the line h = y, computed in
+    ``Fraction`` and rounded once: each vertex r has height h = r . d and
+    abscissa s = r . u with u = d.perp(), and the chord runs between the least
+    and largest s over the vertices on the line and the exact crossings of the
+    edges that strictly cross it. 0 when the line misses the polygon."""
+    dx, dy, y = Fraction(d.x), Fraction(d.y), Fraction(y)
+    pts = []  # (height above the line, abscissa) per vertex
+    for rx, ry in ball._rel:
+        x, z = Fraction(rx), Fraction(ry)
+        pts.append((x * dx + z * dy - y, z * dx - x * dy))
+    ss = []
+    for (fa, sa), (fb, sb) in zip(pts, pts[1:] + pts[:1]):
+        if fa == 0:
+            ss.append(sa)
+        elif fa * fb < 0:
+            ss.append(sa + (sb - sa) * fa / (fa - fb))
+    return float(max(ss) - min(ss)) if ss else 0.0
 
 
 def line_min_by_breakpoints(ball, x: Vec2, y: Vec2) -> float:

@@ -307,10 +307,13 @@ def test_verify_json_through_python_m():
         assert check["passed"] is True and check["seconds"] >= 0.0
     counts = {c["name"]: c["counts"] for c in payload["checks"] if c["counts"]}
     assert list(counts) == [
+        "criterion 3: geometry vs algebra",
         "criterion 9: general lower bound",
         "criterion 11: perimeter chain",
         "perimeter invariants",
     ]
+    geometry = counts["criterion 3: geometry vs algebra"]
+    assert set(geometry) == {"max_residual"} and 0.0 <= geometry["max_residual"] <= 1e-9
     sweep = counts["criterion 9: general lower bound"]
     assert set(sweep) == {"balls", "unit_chain", "min_pi_ball", "min_margin"}
     assert sweep["balls"] == 500 and 0 <= sweep["unit_chain"] <= 500

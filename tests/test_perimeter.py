@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from conftest import chord_offset_by_bisection, gauge_by_bisection
+from conftest import chord_offset_by_bisection, chord_width_exact, gauge_by_bisection
 from minkpi import perimeter
 from minkpi.errors import InvalidParameter, NoConvergence, NoSharedAxis
 from minkpi.gauge import Ball, gauge, symmetrize_hull, symmetrize_intersection
@@ -181,6 +181,32 @@ def test_width_profile_unimodal_random():
                 rising = False
             else:
                 assert rising or b <= a + 1e-9
+
+
+def test_width_profile_matches_exact_chords_at_every_scale():
+    # every other ball is scaled by 10^U(-6, 8); the exact chords have no
+    # tolerance band, so only the interior samples, off the end faces, compare
+    rng = random.Random(4)
+    for i in range(200):
+        ball = random_symmetric_ball(rng, 6, 40)
+        if i % 2:
+            ball = ball.scaled(10.0 ** rng.uniform(-6.0, 8.0))
+        d = _ball_axis(ball)[0]
+        tol = 1e-12 * _extent(ball._rel)
+        for y, w in width_profile(ball, 21).samples[1:-1]:
+            assert abs(w - chord_width_exact(ball, d, y)) <= tol
+
+
+def test_width_profile_leaves_the_certificate_chord_path_alone(monkeypatch):
+    # the profile reads its own center-relative float frame; the per-edge
+    # chord span is the certificate's alone
+    def refuse(*args):
+        raise AssertionError("width_profile went through the certificate's chord span")
+
+    monkeypatch.setattr(perimeter, "_chord_span", refuse)
+    monkeypatch.setattr(perimeter, "_width_at", refuse)
+    prof = width_profile(random_symmetric_ball(random.Random(0), 6, 40), 21)
+    assert len(prof.samples) == 21 and all(w > 0.0 for w in prof.widths()[1:-1])
 
 
 def test_hexagon_bound_tight_on_regular_hexagon():
